@@ -34,7 +34,7 @@ Options::
 
     --threat-scale 0.02    kernel scale for Threat Analysis (default 0.02)
     --terrain-scale 0.05   kernel scale for Terrain Masking (default 0.05)
-    --jobs/-j N            worker processes for all/report (default: CPUs)
+    --jobs/-j N            worker processes for all/report (default 1)
     --profile              per-experiment wall time + cache hits/misses
 
 Simulation results persist in ``.repro_cache/`` (override with
@@ -78,9 +78,10 @@ def _build_parser() -> argparse.ArgumentParser:
     all_p = sub.add_parser("all", help="run every experiment")
     report_p = sub.add_parser("report", help="print EXPERIMENTS.md content")
     for p in (all_p, report_p):
-        p.add_argument("--jobs", "-j", type=int, default=None,
+        p.add_argument("--jobs", "-j", type=int, default=1,
                        metavar="N",
-                       help="worker processes (default: CPU count)")
+                       help="worker processes (default 1: serial, "
+                            "in-process)")
         p.add_argument("--profile", action="store_true",
                        help="print per-experiment wall time and cache "
                             "hit/miss counts")
@@ -221,8 +222,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_p = sub.add_parser(
         "serve",
         help="run the simulation job server (newline-delimited JSON "
-             "over TCP; dedupes and batches requests through the "
-             "result cache and the cell scheduler)")
+             "over TCP; dedupes requests through the result cache and "
+             "runs each request's misses as one engine job)")
     serve_p.add_argument("--host", default="127.0.0.1", metavar="HOST",
                          help="bind address (default 127.0.0.1)")
     serve_p.add_argument("--port", type=int, default=0, metavar="PORT",
@@ -231,16 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               "connections (default 0)")
     serve_p.add_argument("--jobs", "-j", type=int, default=1,
                          metavar="N",
-                         help="worker processes per engine batch "
+                         help="worker processes per engine job "
                               "(default 1: in-process)")
-    serve_p.add_argument("--batch-window", type=float, default=0.05,
-                         metavar="S",
-                         help="seconds to let concurrent requests "
-                              "coalesce into one engine batch "
-                              "(default 0.05)")
-    serve_p.add_argument("--max-batch", type=int, default=64,
-                         metavar="N",
-                         help="cells per engine batch (default 64)")
     load_p = sub.add_parser(
         "load",
         help="drive a running 'repro serve' with seeded factorial "
@@ -293,7 +286,7 @@ def _cmd_run(ids: list[str], data: BenchmarkData,
     return status
 
 
-def _cmd_all(data: BenchmarkData, jobs: int | None, profile: bool,
+def _cmd_all(data: BenchmarkData, jobs: int, profile: bool,
              metrics: bool = False,
              metrics_json: str | None = None, run=None) -> int:
     from repro.harness.parallel import (
@@ -358,7 +351,7 @@ def _cmd_trace(experiment_id: str, data: BenchmarkData,
 
 
 def _cmd_report(threat_scale: float, terrain_scale: float,
-                jobs: int | None, profile: bool, run=None) -> int:
+                jobs: int, profile: bool, run=None) -> int:
     import time
 
     from repro.harness.report import generate_with_results
@@ -370,7 +363,7 @@ def _cmd_report(threat_scale: float, terrain_scale: float,
     sys.stdout.write(text)
     if profile:
         print(f"report generated in {time.perf_counter() - t0:.2f}s "
-              f"({jobs or 'auto'} jobs)", file=sys.stderr)
+              f"({jobs} jobs)", file=sys.stderr)
     if run is not None:
         run.write_report(results.values(), profiles)
     return 0
@@ -435,16 +428,12 @@ def _cmd_serve(args, argv) -> int:
         return 2
     flags = {"threat_scale": args.threat_scale,
              "terrain_scale": args.terrain_scale,
-             "host": args.host, "port": args.port, "jobs": args.jobs,
-             "batch_window": args.batch_window,
-             "max_batch": args.max_batch}
+             "host": args.host, "port": args.port, "jobs": args.jobs}
     with run_scope("serve", flags, argv=argv) as run:
         status = asyncio.run(serve(
             host=args.host, port=args.port,
             threat_scale=args.threat_scale,
-            terrain_scale=args.terrain_scale, jobs=args.jobs,
-            batch_window=args.batch_window, max_batch=args.max_batch,
-            run=run))
+            terrain_scale=args.terrain_scale, jobs=args.jobs, run=run))
         if run is not None:
             run.exit_status = status
     return status

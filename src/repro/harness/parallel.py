@@ -480,16 +480,16 @@ def run_experiments(
     *,
     threat_scale: float,
     terrain_scale: float,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     data: Optional[BenchmarkData] = None,
     cell_sink: Optional[CellSink] = None,
 ) -> tuple[dict[str, ExperimentResult], list[ExperimentProfile]]:
     """Run experiments, in parallel when ``jobs > 1``.
 
     Results come back keyed by id in the requested order regardless of
-    completion order.  ``jobs=None`` uses the CPU count; ``jobs=1``
-    runs serially in-process (sharing ``data`` when given, so tests and
-    the single-core path pay no pickling or re-kerneling cost).
+    completion order.  ``jobs=1`` (the default) runs serially
+    in-process (sharing ``data`` when given, so tests and the
+    single-core path pay no pickling or re-kerneling cost).
 
     ``cell_sink`` streams per-simulation records to the caller as work
     completes (see :data:`CellSink`); the run-directory layer uses it
@@ -520,13 +520,11 @@ def _run_experiments_inner(
     *,
     threat_scale: float,
     terrain_scale: float,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     data: Optional[BenchmarkData] = None,
     cell_sink: Optional[CellSink] = None,
 ) -> tuple[dict[str, ExperimentResult], list[ExperimentProfile]]:
     ids: Sequence[str] = tuple(experiment_ids or EXPERIMENT_IDS)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
     jobs = max(1, jobs)
 
     if jobs == 1 or not ids:

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import sys
 
-from typing import Optional
-
 from repro.harness.calibration import (
     DEFAULT_TERRAIN_SCALE,
     DEFAULT_THREAT_SCALE,
@@ -21,14 +19,14 @@ _FIGURES = {"table3": "Figure 1", "table4": "Figure 2",
 
 def generate(threat_scale: float = DEFAULT_THREAT_SCALE,
              terrain_scale: float = DEFAULT_TERRAIN_SCALE,
-             jobs: Optional[int] = 1) -> str:
+             jobs: int = 1) -> str:
     return generate_with_results(threat_scale, terrain_scale,
                                  jobs=jobs)[0]
 
 
 def generate_with_results(threat_scale: float = DEFAULT_THREAT_SCALE,
                           terrain_scale: float = DEFAULT_TERRAIN_SCALE,
-                          jobs: Optional[int] = 1,
+                          jobs: int = 1,
                           cell_sink=None):
     """Like :func:`generate`, but also returns the raw results.
 

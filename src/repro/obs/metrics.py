@@ -212,7 +212,9 @@ class ServiceCounters:
     coalesced onto an identical cell already executing, and
     ``engine_cells`` the cells that actually reached an engine run --
     ``cells == dedupe_cached + dedupe_inflight + engine_cells`` holds
-    at every quiescent point.
+    at every quiescent point where no engine job has failed.  One
+    ``batches`` entry is one engine job, made from one request's cache
+    misses; ``batched_cells`` counts the cells those jobs carried.
     """
 
     connections: int = 0

@@ -4,8 +4,9 @@
 network service (newline-delimited JSON over TCP; see
 :mod:`repro.service.protocol` for the wire format and the rationale),
 with request dedupe against the content-addressed result cache,
-in-flight request coalescing, cohort batching through the cell-granular
-parallel scheduler, and run-store persistence of every session.
+in-flight request coalescing, one engine job per request through the
+cell-granular parallel scheduler, and run-store persistence of every
+session.
 ``repro load`` drives it with seeded factorial load tables and
 publishes ``BENCH_service.json``.
 """

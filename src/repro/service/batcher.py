@@ -1,41 +1,40 @@
-"""Dedupe + batch pending simulation cells into cohort engine runs.
+"""Dedupe a request's simulation cells and run its misses as one engine job.
 
 The batcher is the seam between the asyncio front half of the service
 (connections, request parsing, response streaming) and the synchronous
-simulation engine.  Three layers of work avoidance, in order:
+simulation engine.  Each request's cells pass two dedupe layers, and
+whatever is left becomes one engine job:
 
 1. **completed dedupe** -- a cell whose content-addressed key is
-   already in the persistent result cache is answered immediately,
-   without queueing (``dedupe_cached``);
-2. **in-flight dedupe** -- a cell whose key is already pending or
-   executing attaches to the existing :class:`asyncio.Future` instead
-   of queueing a second engine run: *one engine run, N result streams*
-   (``dedupe_inflight``);
-3. **batching** -- remaining cells accumulate for a short window (or
-   until ``max_batch``) and dispatch as one
+   already in the persistent result cache is answered immediately
+   (``dedupe_cached``);
+2. **in-flight dedupe** -- a cell whose key is already executing
+   attaches to the existing :class:`asyncio.Future` instead of running
+   twice: *one engine run, N result streams* (``dedupe_inflight``);
+3. **one engine job per request** -- the request's remaining misses
+   go to the engine thread together (``batches``, ``batched_cells``).
+   Healthy cells run through one
    :func:`repro.harness.parallel.run_cells` call, which orders them
-   largest-first and can fan them over the crash-salvaging process
-   pool, exactly like a ``repro all -j`` sweep (``batches``,
-   ``batched_cells``, ``engine_cells``).
+   largest-first and, with ``jobs > 1``, fans them over the
+   crash-salvaging process pool exactly like a ``repro all -j`` sweep.
+   Faulted cells run through the fault injector in the same job.
 
-Only *compatible* cells share a batch: ``run_cells`` executes one
-(threat_scale, terrain_scale) universe per call, so pending cells are
-grouped by their scale pair and each group dispatches separately.
+A request carries one (threat_scale, terrain_scale) pair, so a job
+never mixes kernel universes.
 
-The engine side runs on a single dedicated thread (one batch at a
-time; parallelism happens *inside* a batch via the pool), and results
-hop back to the event loop with ``call_soon_threadsafe`` -- each
-record resolves its future the moment it lands, so subscribers stream
-per-cell results while the rest of the batch is still running.
+The engine side is a single dedicated thread.  Jobs queue on it FIFO,
+so a request's cells wait behind every job submitted before them.
+Records hop back to the event loop with ``call_soon_threadsafe`` --
+each one resolves its future the moment it lands, so subscribers
+stream per-cell results while the rest of the job is still running.
 
 Futures are shared and never cancelled by subscriber disconnects: a
-client that goes away mid-stream merely stops reading, while the batch
+client that goes away mid-stream merely stops reading, while the job
 -- and every other subscriber's stream -- survives.
 
 Faulted cells (a request with a fault plan) bypass the result cache by
-design (see ``repro.faults.chaos``) but still get in-flight dedupe and
-the same engine thread; their records carry the realized fault
-schedule.
+design (see ``repro.faults.chaos``) but still get in-flight dedupe;
+their records carry the realized fault schedule.
 """
 
 from __future__ import annotations
@@ -50,32 +49,22 @@ from repro.harness import parallel, store
 from repro.harness.runner import default_data
 from repro.obs.metrics import ServiceCounters
 
-#: (threat_scale, terrain_scale) -- the compatibility class of a batch
-Scales = tuple[float, float]
-
 
 class CellBatcher:
-    """Owns the pending queues, in-flight table and the engine thread."""
+    """Owns the in-flight table and the engine thread."""
 
-    def __init__(self, *, jobs: int = 1, batch_window: float = 0.05,
-                 max_batch: int = 64,
+    def __init__(self, *, jobs: int = 1,
                  counters: Optional[ServiceCounters] = None,
                  on_record: Optional[Callable[[dict], None]] = None):
         self.jobs = max(1, int(jobs))
-        self.batch_window = batch_window
-        self.max_batch = max(1, int(max_batch))
         self.counters = counters if counters is not None \
             else ServiceCounters()
         #: called on the event loop with every record the engine
         #: produced (not cache hits) -- the run-store persistence hook
         self.on_record = on_record
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        #: key -> shared future; holds pending *and* executing cells
+        #: key -> shared future of a cell queued or executing
         self._inflight: dict[str, asyncio.Future] = {}
-        #: healthy cells waiting for the next batch, per scale pair
-        self._pending: dict[Scales, list[dict]] = {}
-        self._kick: Optional[asyncio.Event] = None
-        self._dispatcher: Optional[asyncio.Task] = None
         self._engine = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-engine")
         self._closed = False
@@ -85,18 +74,10 @@ class CellBatcher:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._kick = asyncio.Event()
-        self._dispatcher = asyncio.create_task(
-            self._dispatch_loop(), name="repro-batcher")
 
     async def drain(self) -> None:
         """Finish everything in flight, then stop the engine thread."""
         self._closed = True
-        if self._kick is not None:
-            self._kick.set()
-        if self._dispatcher is not None:
-            await self._dispatcher
-            self._dispatcher = None
         if self._inflight:
             await asyncio.gather(
                 *[asyncio.shield(f) for f in self._inflight.values()],
@@ -104,141 +85,80 @@ class CellBatcher:
         self._engine.shutdown(wait=True)
 
     # ------------------------------------------------------------------
-    # submission
+    # submission (event loop side)
     # ------------------------------------------------------------------
-    def submit(self, cell: dict) -> asyncio.Future:
-        """Queue one cell descriptor; returns its (shared) future.
+    def submit(self, cells: list[dict]) -> list[asyncio.Future]:
+        """Dedupe one request's cells; run its misses as one engine job.
 
-        Must be called on the event loop.  The future resolves to the
-        cell's simulation record.  Callers must not cancel it -- it
-        may be shared; await it through ``asyncio.shield`` if a caller
-        can itself be cancelled.
+        Must be called on the event loop.  Returns one (possibly
+        shared) future per cell, resolving to the cell's simulation
+        record.  Callers must not cancel them; await them through
+        ``asyncio.shield`` if a caller can itself be cancelled.
         """
         assert self._loop is not None, "batcher not started"
         if self._closed:
             raise RuntimeError("service is shutting down")
-        self.counters.cells += 1
-        key = cell["key"]
-        fut = self._inflight.get(key)
-        if fut is not None:
-            self.counters.dedupe_inflight += 1
-            return fut
-        fut = self._loop.create_future()
-        if "fault_plan" in cell:
-            # uncached by design; one engine job per distinct key
-            self._inflight[key] = fut
-            self.counters.faulted_cells += 1
-            self._loop.run_in_executor(
-                self._engine, self._run_faulted, cell)
-            return fut
         cache = store.active_cache()
-        entry = cache.get(key) if cache is not None else None
-        if entry is not None:
-            self.counters.dedupe_cached += 1
-            fut.set_result(store.entry_to_record(
-                key, entry, cell["seed_offset"], kind=cell["kind"]))
-            return fut
-        self._inflight[key] = fut
-        scales = (cell["threat_scale"], cell["terrain_scale"])
-        self._pending.setdefault(scales, []).append(cell)
-        assert self._kick is not None
-        self._kick.set()
-        return fut
-
-    def _pending_count(self) -> int:
-        return sum(len(v) for v in self._pending.values())
-
-    # ------------------------------------------------------------------
-    # batching (event loop side)
-    # ------------------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
-        assert self._kick is not None
-        while True:
-            await self._kick.wait()
-            self._kick.clear()
-            if not self._pending_count():
-                if self._closed:
-                    return
+        futures: list[asyncio.Future] = []
+        misses: list[dict] = []
+        for cell in cells:
+            self.counters.cells += 1
+            key = cell["key"]
+            fut = self._inflight.get(key)
+            if fut is not None:
+                self.counters.dedupe_inflight += 1
+                futures.append(fut)
                 continue
-            # batch window: let concurrent requests coalesce, unless
-            # a batch is already full or we are draining
-            if (self._pending_count() < self.max_batch
-                    and not self._closed and self.batch_window > 0):
-                await asyncio.sleep(self.batch_window)
-            while self._pending_count():
-                scales = next(iter(self._pending))
-                group = self._pending[scales]
-                batch = group[:self.max_batch]
-                del group[:len(batch)]
-                if not group:
-                    del self._pending[scales]
-                self.counters.batches += 1
-                self.counters.batched_cells += len(batch)
-                # one batch at a time: the executor has one thread,
-                # and awaiting here keeps the window accumulating for
-                # the *next* batch while this one runs
-                assert self._loop is not None
-                await self._loop.run_in_executor(
-                    self._engine, self._run_batch, scales, batch)
-            if self._closed and not self._pending_count():
-                return
+            fut = self._loop.create_future()
+            futures.append(fut)
+            faulted = "fault_plan" in cell
+            entry = (cache.get(key) if cache is not None and not faulted
+                     else None)
+            if entry is not None:
+                self.counters.dedupe_cached += 1
+                fut.set_result(store.entry_to_record(
+                    key, entry, cell["seed_offset"], kind=cell["kind"]))
+                continue
+            if faulted:
+                self.counters.faulted_cells += 1
+            self._inflight[key] = fut
+            misses.append(cell)
+        if misses:
+            self.counters.batches += 1
+            self.counters.batched_cells += len(misses)
+            self._loop.run_in_executor(self._engine, self._run_job,
+                                       misses)
+        return futures
 
     # ------------------------------------------------------------------
     # engine thread side
     # ------------------------------------------------------------------
-    def _run_batch(self, scales: Scales, batch: list[dict]) -> None:
+    def _run_job(self, cells: list[dict]) -> None:
         assert self._loop is not None
         loop = self._loop
+        settled: set[str] = set()
 
         def emit(record: dict) -> None:
+            settled.add(record["key"])
             loop.call_soon_threadsafe(self._settle, record["key"],
                                       record, None)
 
+        healthy = [c for c in cells if "fault_plan" not in c]
         try:
-            parallel.run_cells(
-                batch, threat_scale=scales[0], terrain_scale=scales[1],
-                jobs=self.jobs, on_record=emit, trim_logs=True)
-        except BaseException as exc:  # noqa: BLE001 -- fail the batch
-            for cell in batch:
-                loop.call_soon_threadsafe(
-                    self._settle, cell["key"], None, exc)
-
-    def _run_faulted(self, cell: dict) -> None:
-        assert self._loop is not None
-        loop = self._loop
-        try:
-            data = default_data(cell["threat_scale"],
-                                cell["terrain_scale"]) \
-                .with_seed_offset(cell["seed_offset"])
-            job = data.job_from_recipe(cell["job_recipe"])
-            t0 = time.perf_counter()
-            if cell["kind"] == "mta":
-                run = run_faulted_mta(
-                    cell["spec"], job, cell["fault_plan"],
-                    slices_per_phase=cell["slices_per_phase"])
-            else:
-                run = run_faulted_conventional(
-                    cell["spec"], job, cell["fault_plan"],
-                    slices_per_phase=cell["slices_per_phase"])
-            del data.metrics_log[:]
-            record = {
-                "key": cell["key"],
-                "kind": "faulted-" + cell["kind"],
-                "machine": run.machine,
-                "job": run.job,
-                "seconds": run.seconds,
-                "seed_offset": cell["seed_offset"],
-                "stats": dict(run.stats,
-                              service_wall=time.perf_counter() - t0),
-                "fault_schedule": [f.to_payload() for f in run.schedule],
-                "fault_applied": [f.kind for f in run.applied],
-            }
-        except BaseException as exc:  # noqa: BLE001
-            loop.call_soon_threadsafe(self._settle, cell["key"], None,
-                                      exc)
-            return
-        loop.call_soon_threadsafe(self._settle, cell["key"], record,
-                                  None)
+            if healthy:
+                # resolved at call time: tracing wraps this attribute
+                parallel.run_cells(
+                    healthy, threat_scale=healthy[0]["threat_scale"],
+                    terrain_scale=healthy[0]["terrain_scale"],
+                    jobs=self.jobs, on_record=emit, trim_logs=True)
+            for cell in cells:
+                if "fault_plan" in cell:
+                    emit(_faulted_record(cell))
+        except BaseException as exc:  # noqa: BLE001 -- fail the job
+            for cell in cells:
+                if cell["key"] not in settled:
+                    loop.call_soon_threadsafe(
+                        self._settle, cell["key"], None, exc)
 
     # ------------------------------------------------------------------
     # settlement (event loop side)
@@ -256,3 +176,27 @@ class CellBatcher:
             fut.set_exception(exc)
         else:
             fut.set_result(record)
+
+
+def _faulted_record(cell: dict) -> dict:
+    """Run one fault-injected cell; its record carries the schedule."""
+    data = default_data(cell["threat_scale"], cell["terrain_scale"]) \
+        .with_seed_offset(cell["seed_offset"])
+    job = data.job_from_recipe(cell["job_recipe"])
+    run_faulted = (run_faulted_mta if cell["kind"] == "mta"
+                   else run_faulted_conventional)
+    t0 = time.perf_counter()
+    run = run_faulted(cell["spec"], job, cell["fault_plan"],
+                      slices_per_phase=cell["slices_per_phase"])
+    del data.metrics_log[:]
+    return {
+        "key": cell["key"],
+        "kind": "faulted-" + cell["kind"],
+        "machine": run.machine,
+        "job": run.job,
+        "seconds": run.seconds,
+        "seed_offset": cell["seed_offset"],
+        "stats": dict(run.stats, service_wall=time.perf_counter() - t0),
+        "fault_schedule": [f.to_payload() for f in run.schedule],
+        "fault_applied": [f.kind for f in run.applied],
+    }

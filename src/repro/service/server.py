@@ -3,10 +3,10 @@
 One process, one event loop, one engine thread: connections speak the
 newline-delimited JSON protocol of :mod:`repro.service.protocol`,
 validated requests become cell descriptors, and the
-:class:`~repro.service.batcher.CellBatcher` dedupes and batches them
-into cohort engine runs.  Per-cell results stream back the moment they
-land -- a request for N cells produces N ``cell`` lines in completion
-order, then one ``done`` line.
+:class:`~repro.service.batcher.CellBatcher` dedupes them and runs each
+request's cache misses as one engine job.  Per-cell results stream back
+the moment they land -- a request for N cells produces N ``cell`` lines
+in completion order, then one ``done`` line.
 
 Durability: the whole service session is one run-store run.  Every
 record the engine produces lands in the session's ``cells.jsonl`` (via
@@ -63,8 +63,7 @@ class ReproService:
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
                  threat_scale: float = 0.02, terrain_scale: float = 0.05,
-                 jobs: int = 1, batch_window: float = 0.05,
-                 max_batch: int = 64, run: Optional[RunWriter] = None):
+                 jobs: int = 1, run: Optional[RunWriter] = None):
         self.host = host
         self.port = port
         self.threat_scale = threat_scale
@@ -73,8 +72,7 @@ class ReproService:
         self.counters = ServiceCounters()
         self.run = run
         self.batcher = CellBatcher(
-            jobs=jobs, batch_window=batch_window, max_batch=max_batch,
-            counters=self.counters, on_record=self._persist)
+            jobs=jobs, counters=self.counters, on_record=self._persist)
         self._server: Optional[asyncio.Server] = None
         self._shutdown = asyncio.Event()
         self._conn_tasks: set[asyncio.Task] = set()
@@ -387,11 +385,12 @@ class ReproService:
         """Submit cells, stream each record as it lands, then 'done'.
 
         A subscriber disconnecting mid-stream only stops *its* writes:
-        the futures are shared with the batch, which runs to completion
-        for the cache, the run store and any other subscribers.
+        the futures are shared with the engine job, which runs to
+        completion for the cache, the run store and any other
+        subscribers.
         """
         try:
-            futures = [self.batcher.submit(cell) for cell in cells]
+            futures = self.batcher.submit(cells)
         except RuntimeError as exc:  # shutting down
             self.counters.errors += 1
             await self._send(writer, {"type": "error", "id": request_id,
@@ -416,7 +415,7 @@ class ReproService:
                     continue  # two request cells deduped to one key
                 seen.add(record["key"])
                 if not connected:
-                    continue  # keep draining for the shared batch
+                    continue  # keep draining for the shared job
                 schedule = record.get("fault_schedule")
                 try:
                     await self._send(writer, protocol.record_response(
@@ -447,20 +446,18 @@ class ReproService:
     def stats(self) -> dict:
         body = self.counters.snapshot()
         body["inflight"] = len(self.batcher._inflight)
-        body["pending"] = self.batcher._pending_count()
         if self.run is not None:
             body["run_id"] = self.run.run_id
         return body
 
 
 async def serve(*, host: str, port: int, threat_scale: float,
-                terrain_scale: float, jobs: int, batch_window: float,
-                max_batch: int, run: Optional[RunWriter]) -> int:
+                terrain_scale: float, jobs: int,
+                run: Optional[RunWriter]) -> int:
     """``repro serve`` body: start, run until shutdown, drain."""
     service = ReproService(
         host=host, port=port, threat_scale=threat_scale,
-        terrain_scale=terrain_scale, jobs=jobs,
-        batch_window=batch_window, max_batch=max_batch, run=run)
+        terrain_scale=terrain_scale, jobs=jobs, run=run)
     await service.start()
     await service.serve_until_shutdown()
     if run is not None:

@@ -33,7 +33,6 @@ async def serve_ctx(**kwargs):
     """Boot a service on an ephemeral port; drain it on exit."""
     kwargs.setdefault("threat_scale", SCALES["threat_scale"])
     kwargs.setdefault("terrain_scale", SCALES["terrain_scale"])
-    kwargs.setdefault("batch_window", 0.02)
     service = ReproService(**kwargs)
     await service.start()
     try:

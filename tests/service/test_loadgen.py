@@ -79,7 +79,7 @@ def test_load_cli_against_live_server(tmp_path, capsys):
     from tests.service.conftest import SCALES
 
     async def session():
-        svc = ReproService(batch_window=0.01, **SCALES)
+        svc = ReproService(**SCALES)
         await svc.start()
         out = tmp_path / "BENCH_service.json"
         status = await asyncio.to_thread(

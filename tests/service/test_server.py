@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -107,16 +108,42 @@ def test_simulate_streams_cells_then_done():
     run_async(body())
 
 
+def _hold_engine(svc) -> threading.Event:
+    """Park the engine thread until the returned event is set, so
+    requests submitted meanwhile are all in flight together."""
+    gate = threading.Event()
+    svc.batcher._engine.submit(gate.wait, 60)
+    return gate
+
+
+async def _release_after(svc, gate: threading.Event,
+                         n_cells: int) -> None:
+    """Unpark the engine once ``n_cells`` cells have been submitted."""
+    while svc.counters.cells < n_cells:
+        await asyncio.sleep(0.005)
+    gate.set()
+
+
+def _assert_cells_accounted(counters) -> None:
+    """The ServiceCounters invariant at a quiescent point."""
+    assert counters.cells == (counters.dedupe_cached
+                              + counters.dedupe_inflight
+                              + counters.engine_cells)
+
+
 def test_identical_concurrent_requests_share_one_engine_run():
-    """Two clients, same cell, same batch window: one engine run, two
-    result streams (the in-flight dedupe contract)."""
+    """Two clients, same cell, both submitted while it is in flight:
+    one engine run, two result streams (the in-flight dedupe
+    contract)."""
     async def body():
-        async with serve_ctx(batch_window=0.3) as svc:
+        async with serve_ctx() as svc:
             a = await ServiceClient.connect("127.0.0.1", svc.bound_port)
             b = await ServiceClient.connect("127.0.0.1", svc.bound_port)
             request = {"op": "simulate", "id": "dup", "cells": [MTA_CELL]}
-            lines_a, lines_b = await asyncio.gather(
-                a.request(dict(request)), b.request(dict(request)))
+            gate = _hold_engine(svc)
+            lines_a, lines_b, _ = await asyncio.gather(
+                a.request(dict(request)), b.request(dict(request)),
+                _release_after(svc, gate, 2))
             for lines in (lines_a, lines_b):
                 assert [ln["type"] for ln in lines] == ["cell", "done"]
             assert lines_a[0]["cell"] == lines_b[0]["cell"]
@@ -124,17 +151,18 @@ def test_identical_concurrent_requests_share_one_engine_run():
             assert svc.counters.dedupe_inflight == 1
             assert svc.counters.dedupe_cached == 0
             assert svc.counters.batches == 1
+            _assert_cells_accounted(svc.counters)
             await a.close()
             await b.close()
     run_async(body())
 
 
 def test_disconnect_mid_stream_salvages_batch_for_others(tmp_path):
-    """A subscriber vanishing must not sink the shared batch: the
+    """A subscriber vanishing must not sink the shared engine job: the
     other subscriber still gets every cell, and the session's run
     directory records them."""
     async def body(run):
-        async with serve_ctx(batch_window=0.3, run=run) as svc:
+        async with serve_ctx(run=run) as svc:
             cells = [
                 {"machine": "mta:2", "workload": "th-job-seq"},
                 {"machine": "mta:2", "workload": "te-job-seq"},
@@ -146,10 +174,13 @@ def test_disconnect_mid_stream_salvages_batch_for_others(tmp_path):
                                                   svc.bound_port)
             stayer = await ServiceClient.connect("127.0.0.1",
                                                  svc.bound_port)
+            gate = _hold_engine(svc)
             # the quitter requests and hangs up without reading a byte
             await quitter.send(dict(request))
             await quitter.close()
-            lines = await stayer.request(dict(request))
+            lines, _ = await asyncio.gather(
+                stayer.request(dict(request)),
+                _release_after(svc, gate, 2 * len(cells)))
             assert lines[-1]["type"] == "done" and lines[-1]["ok"]
             got = {ln["cell"]["job"] for ln in lines[:-1]}
             assert len(lines) == len(cells) + 1
@@ -157,6 +188,8 @@ def test_disconnect_mid_stream_salvages_batch_for_others(tmp_path):
             # every distinct key ran exactly once despite two requests
             assert svc.counters.engine_cells == len(cells)
             assert svc.counters.dedupe_inflight == len(cells)
+            assert svc.counters.batches == 1
+            _assert_cells_accounted(svc.counters)
             await stayer.close()
     run = RunWriter("serve", {})
     run_async(body(run))
@@ -167,6 +200,74 @@ def test_disconnect_mid_stream_salvages_batch_for_others(tmp_path):
         recorded = [json.loads(line) for line in fh]
     assert len(recorded) == 4
     assert all(rec["source"] == "service" for rec in recorded)
+
+
+def test_faulted_cell_streams_beside_healthy_and_recomputes():
+    """A faulted cell rides the same engine job as a healthy one; its
+    record carries the realized fault schedule and is never cached."""
+    faulted = dict(MTA_CELL, faults="streams:0.5:0.8")
+    async def body():
+        async with serve_ctx() as svc:
+            client = await ServiceClient.connect("127.0.0.1",
+                                                 svc.bound_port)
+            lines = await client.request({
+                "op": "simulate", "id": "f1",
+                "cells": [faulted, {"machine": "alpha",
+                                    "workload": "th-job-seq"}]})
+            assert [ln["type"] for ln in lines] == \
+                ["cell", "cell", "done"]
+            assert lines[-1]["ok"] and lines[-1]["n_sent"] == 2
+            kinds = {ln["cell"]["kind"]: ln["cell"] for ln in lines[:-1]}
+            assert set(kinds) == {"faulted-mta", "conventional"}
+            assert "fault_schedule" in kinds["faulted-mta"]
+            assert "fault_schedule" not in kinds["conventional"]
+            assert svc.counters.faulted_cells == 1
+            assert svc.counters.batches == 1
+            assert svc.counters.batched_cells == 2
+            # uncached by design: the same faulted request recomputes
+            again = await client.request({
+                "op": "simulate", "id": "f2", "cells": [faulted]})
+            assert [ln["type"] for ln in again] == ["cell", "done"]
+            assert again[0]["cell"]["fault_schedule"] == \
+                kinds["faulted-mta"]["fault_schedule"]
+            assert svc.counters.faulted_cells == 2
+            assert svc.counters.dedupe_cached == 0
+            assert svc.counters.engine_cells == 3
+            _assert_cells_accounted(svc.counters)
+            await client.close()
+    run_async(body())
+
+
+def test_engine_job_failure_fails_request_not_connection(monkeypatch):
+    """A raising engine job ends its request with a failed 'done'
+    line; the connection and the service stay usable."""
+    from repro.harness import parallel
+
+    real_run_cells = parallel.run_cells
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("engine exploded")
+
+    async def body():
+        async with serve_ctx() as svc:
+            client = await ServiceClient.connect("127.0.0.1",
+                                                 svc.bound_port)
+            monkeypatch.setattr(parallel, "run_cells", boom)
+            lines = await client.request({
+                "op": "simulate", "id": "x", "cells": [MTA_CELL]})
+            assert [ln["type"] for ln in lines] == ["done"]
+            done = lines[-1]
+            assert done["ok"] is False and done["n_sent"] == 0
+            assert any("engine exploded" in e for e in done["errors"])
+            assert svc.counters.engine_cells == 0
+            monkeypatch.setattr(parallel, "run_cells", real_run_cells)
+            lines = await client.request({
+                "op": "simulate", "id": "y", "cells": [MTA_CELL]})
+            assert [ln["type"] for ln in lines] == ["cell", "done"]
+            assert lines[-1]["ok"]
+            assert svc.counters.engine_cells == 1
+            await client.close()
+    run_async(body())
 
 
 def test_sweep_serves_registry_experiments():
@@ -224,7 +325,7 @@ def test_port_zero_prints_bound_port_and_sigterm_drains(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro",
          "--threat-scale", "0.01", "--terrain-scale", "0.02",
-         "serve", "--port", "0", "--batch-window", "0.01"],
+         "serve", "--port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         text=True)
     try:
@@ -266,7 +367,7 @@ def test_shutdown_op_stops_the_server():
         async def run_service():
             from tests.service.conftest import SCALES
             from repro.service.server import ReproService
-            svc = ReproService(batch_window=0.01, **SCALES)
+            svc = ReproService(**SCALES)
             svc_box["svc"] = svc
             await svc.start()
             await svc.serve_until_shutdown()
