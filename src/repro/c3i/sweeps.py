@@ -213,6 +213,7 @@ def expansion_manifest(sweep: SweepDef) -> dict:
 def _verify_cell(cell: dict) -> Optional[str]:
     """Run one cell's job on both engines directly (cache bypassed);
     returns a description of the parity violation, or None."""
+    from repro.harness.bench import REL_TOL
     from repro.harness.runner import BenchmarkData
     from repro.machines.machine import ConventionalMachine
     from repro.mta.machine import MtaMachine
@@ -236,7 +237,7 @@ def _verify_cell(cell: dict) -> Optional[str]:
         coh = ConventionalMachine(
             cell["spec"], slices_per_phase=cell["slices_per_phase"],
             exploit_fine_grained=efg, use_cohort=True).run(job)
-    tol = 1e-9 * max(abs(des.seconds), abs(coh.seconds))
+    tol = REL_TOL * max(abs(des.seconds), abs(coh.seconds))
     if abs(des.seconds - coh.seconds) > tol:
         return (f"{cell['unit']} on {des.machine}: DES {des.seconds!r} "
                 f"!= cohort {coh.seconds!r}")

@@ -1,51 +1,50 @@
 """Parallel experiment execution at simulation-cell granularity.
 
 The registry's experiments are independent of each other (they share
-only the read-only :class:`BenchmarkData` kernels and the persistent
-result cache), so ``python -m repro all`` / ``report`` can fan them out
-over a :class:`~concurrent.futures.ProcessPoolExecutor`.  But whole
+only the read-only :class:`BenchmarkData` kernels and the simulation
+results), so ``python -m repro all`` / ``report`` can fan their work
+out over a :class:`~concurrent.futures.ProcessPoolExecutor`.  Whole
 experiments are a poor unit of parallel work: a handful of simulations
 dominate the registry's wall clock and many of them are shared between
-experiments, so per-experiment scheduling leaves ``-j N`` gated on the
-single largest experiment.
-
-With the persistent cache available, the run therefore proceeds at
-simulation-cell granularity:
+experiments.  So ``-j N`` proceeds at simulation-cell granularity:
 
 1. **plan** (in the scheduling process) -- run every experiment
    against a :class:`_PlanningData` probe whose ``_simulate`` records
    each simulation *cell* (machine spec x job recipe x scales x seed
    universe) instead of running it.  Planning doubles as warm-up: it
-   builds every kernel and job into the shared ``default_data``
-   memos, and the pool is forked *afterwards*, so workers inherit the
-   warm state copy-on-write instead of re-running kernels per process.
+   builds every kernel and job into the caller's ``data`` memos, and
+   the pool is forked *afterwards*, so workers inherit the warm state
+   copy-on-write instead of re-running kernels per process.
 2. **cell** (workers) -- execute one deduplicated simulation cell
-   (largest first, across all experiments) and publish its result
-   through the content-addressed cache.  Cells already present in the
-   cache are never submitted at all.
-3. **replay** (workers) -- run each experiment for real over the
-   now-warm cache, the moment its last outstanding cell lands; no
-   phase barrier idles the pool.
+   (largest first, across all experiments) and send its record back
+   over the result pipe; the scheduling process memoizes it in
+   ``data``.  Cells already in the persistent cache are never
+   submitted at all.
+3. **replay** (the scheduling process) -- run each experiment for real
+   on ``data`` the moment its last outstanding cell lands.  Every cell
+   it asks for is then a memo or cache hit, and the pool keeps
+   draining cells meanwhile; no phase barrier idles it.
 
-Without a cache (``REPRO_NO_CACHE``, or an active tracer) cells cannot
-be transported between processes and the scheduler falls back to
-classic per-experiment tasks.
+No disk cache is needed to move results, so ``REPRO_NO_CACHE`` runs
+take the same path.  ``jobs=1``, and any run under an active tracer
+(forked workers' recorders never report back), run every experiment
+in-process instead.
 
 ``run_experiments`` also collects a per-experiment profile (wall time
 and cache hit/miss counts) for the CLI's ``--profile`` flag.  Under
 cell scheduling an experiment is charged the cells *it* planned first
 (wall and misses), plus its own plan and replay time; hits are the
-replay's cache reads.
+replay's persistent-cache reads.
 
-The pool path is crash-resilient at task granularity: a worker dying
-mid-task (a real segfault/OOM kill, or an injected fault -- see
+The pool is crash-resilient at cell granularity: a worker dying
+mid-cell (a real segfault/OOM kill, or an injected fault -- see
 ``REPRO_CHAOS_CRASH``) breaks the whole ProcessPoolExecutor, but
 results that finished before the crash are salvaged, the pool is
-rebuilt and only the unfinished tasks are retried, with bounded
+rebuilt and only the unfinished cells are retried, with bounded
 attempts (``REPRO_RETRY_MAX``, default 3) and exponential backoff
 (base ``REPRO_RETRY_BACKOFF_S``, default 0.25 s).  Backoff only ever
-precedes a re-submission -- a task that exhausts its attempts raises
-immediately, without a terminal sleep.  A task that *raises* in a
+precedes a re-submission -- a cell that exhausts its attempts raises
+immediately, without a terminal sleep.  A cell that *raises* in a
 worker travels back as :class:`WorkerError` carrying the full child
 traceback, not just the exception repr.
 """
@@ -61,7 +60,7 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro import taskbench
@@ -75,11 +74,8 @@ from repro.obs.trace import active_tracer
 #: worker handling fault unit ``u`` on attempt ``a`` dies iff
 #: ``sha256(seed|u|a|worker-crash)`` maps below ``rate``; mode
 #: ``exit`` (default) kills the process (breaking the pool), ``raise``
-#: raises inside the task instead.  Experiment-level tasks use the
-#: bare experiment id as their unit; simulation-cell tasks use
-#: ``cell:<recipe>@<seed_offset>`` and are faulted only when the mode
-#: carries the ``+cells`` suffix (``exit+cells`` / ``raise+cells``),
-#: so existing experiment-level chaos seeds stay deterministic.
+#: raises inside the cell instead.  Workers only run simulation cells,
+#: whose unit is ``cell:<recipe>@<seed_offset>``.
 CHAOS_CRASH_ENV = "REPRO_CHAOS_CRASH"
 
 RETRY_MAX_ENV = "REPRO_RETRY_MAX"
@@ -87,31 +83,30 @@ RETRY_BACKOFF_ENV = "REPRO_RETRY_BACKOFF_S"
 
 
 class WorkerError(RuntimeError):
-    """A task failed inside a worker process.
+    """A cell failed inside a worker process.
 
     ProcessPoolExecutor pickles exceptions across the process boundary
     and the traceback does not survive the trip -- debugging a parallel
     run used to mean re-running serially.  Workers therefore catch
     everything, format the traceback *in the child*, and send it back
-    attached to this exception.  ``experiment_id`` is the failing fault
-    unit: a bare experiment id for plan/replay tasks, ``cell:...`` for
-    simulation cells.
+    attached to this exception.  ``unit`` is the failing fault unit,
+    ``cell:<recipe>@<seed_offset>``.
     """
 
-    def __init__(self, experiment_id: str, child_traceback: str):
-        self.experiment_id = experiment_id
+    def __init__(self, unit: str, child_traceback: str):
+        self.unit = unit
         self.child_traceback = child_traceback
         super().__init__(
-            f"experiment {experiment_id!r} failed in a worker process\n"
+            f"{unit!r} failed in a worker process\n"
             f"--- worker traceback ---\n{child_traceback}")
 
     def __reduce__(self):
         # default exception pickling replays args (the joined message)
         # into __init__, which takes two fields -- rebuild explicitly
-        return (WorkerError, (self.experiment_id, self.child_traceback))
+        return (WorkerError, (self.unit, self.child_traceback))
 
 
-def _crash_config() -> Optional[tuple[int, float, str, bool]]:
+def _crash_config() -> Optional[tuple[int, float, str]]:
     raw = os.environ.get(CHAOS_CRASH_ENV, "")
     if not raw:
         return None
@@ -120,12 +115,14 @@ def _crash_config() -> Optional[tuple[int, float, str, bool]]:
         raise ValueError(
             f"{CHAOS_CRASH_ENV} must be seed:rate[:mode], got {raw!r}")
     mode = parts[2] if len(parts) > 2 else "exit"
-    cells = mode.endswith("+cells")
-    if cells:
-        mode = mode[:-len("+cells")]
+    if mode.endswith("+cells"):
+        raise ValueError(
+            f"{CHAOS_CRASH_ENV}: the '+cells' suffix is gone -- every "
+            f"worker unit is a simulation cell; use mode "
+            f"{mode[:-len('+cells')]!r}")
     if mode not in ("exit", "raise"):
         raise ValueError(f"unknown crash mode {mode!r}")
-    return int(parts[0]), float(parts[1]), mode, cells
+    return int(parts[0]), float(parts[1]), mode
 
 
 def _maybe_crash(unit_id: str, attempt: int) -> None:
@@ -133,9 +130,7 @@ def _maybe_crash(unit_id: str, attempt: int) -> None:
     cfg = _crash_config()
     if cfg is None:
         return
-    seed, rate, mode, cells = cfg
-    if unit_id.startswith("cell:") and not cells:
-        return
+    seed, rate, mode = cfg
     from repro.faults.plan import derive_unit
 
     if derive_unit(seed, unit_id, attempt, "worker-crash") < rate:
@@ -160,50 +155,23 @@ class ExperimentProfile:
     metrics: tuple[dict, ...] = ()
 
 
-def _touch_sentinel(started_dir: Optional[str], task_id: str,
-                    attempt: int) -> None:
-    """Mark a task as started *before* any crash can happen, so the
-    parent can distinguish tasks whose worker actually died from tasks
-    merely poisoned by someone else's pool breakage."""
-    if started_dir is not None:
-        with open(os.path.join(
-                started_dir, f"{task_id}.{attempt}"), "w"):
-            pass
-
-
-def _run_one(experiment_id: str, threat_scale: float,
-             terrain_scale: float, attempt: int = 0,
-             started_dir: Optional[str] = None,
-             task_id: Optional[str] = None,
+def _run_one(experiment_id: str, data: BenchmarkData,
              ) -> tuple[ExperimentResult, ExperimentProfile]:
-    """Worker body: run one experiment and account for it.
+    """Run one experiment on ``data`` in this process and account for it.
 
-    Top-level (picklable) for ProcessPoolExecutor.  ``default_data`` is
-    lru-cached per process, so a worker reuses its kernels across every
-    task it is handed.  Hit/miss attribution uses
-    :func:`repro.harness.store.cache_scope`, which counts the lookups
-    made in this call's context exactly -- unlike snapshot deltas of
-    the process-cumulative counters, it stays correct even if runs
-    ever interleave within one process.
+    Hit/miss attribution uses :func:`repro.harness.store.cache_scope`,
+    which counts the lookups made in this call's context exactly --
+    unlike snapshot deltas of the process-cumulative counters.
     """
-    try:
-        _touch_sentinel(started_dir, task_id or experiment_id, attempt)
-        _maybe_crash(experiment_id, attempt)
-        data = default_data(threat_scale, terrain_scale)
-        n0 = len(data.metrics_log)
-        t0 = time.perf_counter()
-        with store.cache_scope() as sc:
-            result = run_experiment(experiment_id, data)
-        wall = time.perf_counter() - t0
-        return result, ExperimentProfile(
-            experiment_id=experiment_id, wall_seconds=wall,
-            cache_hits=sc.hits, cache_misses=sc.misses,
-            metrics=tuple(data.metrics_log[n0:]))
-    except WorkerError:
-        raise
-    except BaseException:
-        raise WorkerError(experiment_id, traceback.format_exc()) \
-            from None
+    n0 = len(data.metrics_log)
+    t0 = time.perf_counter()
+    with store.cache_scope() as sc:
+        result = run_experiment(experiment_id, data)
+    return result, ExperimentProfile(
+        experiment_id=experiment_id,
+        wall_seconds=time.perf_counter() - t0,
+        cache_hits=sc.hits, cache_misses=sc.misses,
+        metrics=tuple(data.metrics_log[n0:]))
 
 
 # ----------------------------------------------------------------------
@@ -219,13 +187,13 @@ class _PlanningData(BenchmarkData):
     *recipe*, so any pool worker can rebuild the job and execute the
     cell independently.  Experiment arithmetic downstream of the
     placeholder timings is garbage and discarded; the replay phase
-    recomputes it over the warm cache, so an incomplete or failed plan
-    is merely less parallel, never wrong.
+    recomputes it, so an incomplete or failed plan is merely less
+    parallel, never wrong.
 
-    Given a ``donor`` (the process-wide ``default_data``), the probe
-    shares the donor's kernel/job memo dict outright: everything the
-    plan builds lands in the memos every later consumer reads, which
-    is what makes parent-side planning double as pool warm-up.
+    Given a ``donor`` (the data the run replays on), the probe shares
+    the donor's kernel/job memo dict outright: everything the plan
+    builds lands in the memos every later consumer reads, which is
+    what makes parent-side planning double as pool warm-up.
     """
 
     def __init__(self, threat_scale: float = 0.02,
@@ -324,45 +292,59 @@ def _plan_one(experiment_id: str, planner: _PlanningData) -> dict:
     return {"cells": cells, "wall": time.perf_counter() - t0}
 
 
-def _run_cell(cell: dict, threat_scale: float, terrain_scale: float,
-              attempt: int = 0, started_dir: Optional[str] = None,
-              task_id: Optional[str] = None) -> dict:
-    """Worker body: execute one simulation cell into the shared cache.
+def _run_cell(cell: dict, data: BenchmarkData) -> dict:
+    """Execute one simulation cell on ``data``'s seed universe.
 
     The job is rebuilt from its recipe name; the resulting cache key is
     identical to the one the planner recorded (both are fingerprints of
-    the same spec / recipe / scales / universe), so the replay phase
-    finds the entry without coordination.
+    the same spec / recipe / scales / universe).  Returns the cell's
+    wall time, cache misses and its simulation record (the one
+    ``metrics_log`` entry its ``_simulate`` call appended).
     """
+    data = data.with_seed_offset(cell["seed_offset"])
+    job = data.job_from_recipe(cell["job_recipe"])
+    n0 = len(data.metrics_log)
+    t0 = time.perf_counter()
+    with store.cache_scope() as sc:
+        if cell["kind"] == "conventional":
+            data.run_conventional(
+                cell["spec"], job,
+                slices_per_phase=cell["slices_per_phase"],
+                exploit_fine_grained=cell["exploit_fine_grained"])
+        else:
+            data.run_mta_spec(
+                cell["spec"], job,
+                slices_per_phase=cell["slices_per_phase"])
+    return {"wall": time.perf_counter() - t0, "misses": sc.misses,
+            "record": data.metrics_log[n0]}
+
+
+#: a pool worker's (data, start-sentinel directory), installed by the
+#: pool initializer -- under fork the data is inherited, not pickled
+_worker_state: Optional[tuple[BenchmarkData, str]] = None
+
+
+def _init_worker(data: BenchmarkData, started_dir: str) -> None:
+    global _worker_state
+    _worker_state = (data, started_dir)
+
+
+def _pool_cell(cell: dict, attempt: int) -> dict:
+    """Pool worker body: :func:`_run_cell` behind a start sentinel and
+    crash injection, with any failure sent back as :class:`WorkerError`.
+
+    The sentinel marks the cell as started *before* any crash can
+    happen, so the parent can tell cells whose worker actually died
+    from cells merely poisoned by someone else's pool breakage.
+    """
+    data, started_dir = _worker_state
     unit = cell["unit"]
     try:
-        _touch_sentinel(started_dir, task_id or unit, attempt)
+        with open(os.path.join(
+                started_dir, f"{cell['key']}.{attempt}"), "w"):
+            pass
         _maybe_crash(unit, attempt)
-        data = default_data(threat_scale, terrain_scale) \
-            .with_seed_offset(cell["seed_offset"])
-        job = data.job_from_recipe(cell["job_recipe"])
-        n0 = len(data.metrics_log)
-        t0 = time.perf_counter()
-        with store.cache_scope() as sc:
-            if cell["kind"] == "conventional":
-                data.run_conventional(
-                    cell["spec"], job,
-                    slices_per_phase=cell["slices_per_phase"],
-                    exploit_fine_grained=cell["exploit_fine_grained"])
-            else:
-                data.run_mta_spec(
-                    cell["spec"], job,
-                    slices_per_phase=cell["slices_per_phase"])
-        # the simulation record this cell produced (exactly one
-        # _simulate call), streamed back so the scheduling process can
-        # emit it to the run directory's cells.jsonl as it lands
-        record = (data.metrics_log[n0]
-                  if len(data.metrics_log) > n0 else None)
-        return {"wall": time.perf_counter() - t0,
-                "hits": sc.hits, "misses": sc.misses,
-                "record": record}
-    except WorkerError:
-        raise
+        return _run_cell(cell, data)
     except BaseException:
         raise WorkerError(unit, traceback.format_exc()) from None
 
@@ -393,8 +375,7 @@ def run_cells(
     themselves and against the persistent cache; the remainder run
     largest-first -- in this process with ``jobs <= 1``, otherwise
     fanned over the crash-salvaging pool exactly like a ``repro all -j``
-    run (the pool path requires an active cache to transport results,
-    and falls back to in-process execution without one).
+    run.
 
     Returns ``{key: record}`` with one simulation record per distinct
     key.  ``on_record`` is additionally called with each record as it
@@ -432,46 +413,19 @@ def run_cells(
         if on_record is not None:
             on_record(record)
 
+    data = default_data(threat_scale, terrain_scale)
     order = sorted(todo.values(), key=lambda c: c["weight"],
                    reverse=True)
-    if jobs > 1 and cache is not None:
-        tasks = [_Task("cell:" + c["key"], c["unit"], _run_cell, c)
-                 for c in order]
-
-        def on_result(tid: str, value) -> list[_Task]:
-            record = value.get("record")
-            if record is not None:
-                settle(tid[len("cell:"):], record)
-            return []
-
-        _pool_schedule(tasks, threat_scale, terrain_scale,
-                       min(jobs, len(tasks)), on_result=on_result)
-        # a worker whose record went missing (it only happens if the
-        # cell's _simulate was memo-elided) still published through
-        # the cache -- recover rather than drop the subscriber
-        for key, cell in todo.items():
-            if key not in records:
-                entry = cache.get(key)
-                if entry is None:
-                    raise WorkerError(
-                        cell["unit"],
-                        f"cell {key} produced no record and no cache "
-                        f"entry")
-                settle(key, store.entry_to_record(
-                    key, entry, cell["seed_offset"], kind=cell["kind"]))
-    else:
-        for cell in order:
-            value = _run_cell(cell, threat_scale, terrain_scale)
-            record = value["record"]
-            if record is None:  # pragma: no cover -- memo-elided
-                raise WorkerError(
-                    cell["unit"],
-                    f"cell {cell['key']} produced no record")
-            settle(cell["key"], record)
-            if trim_logs:
-                data = default_data(threat_scale, terrain_scale) \
-                    .with_seed_offset(cell["seed_offset"])
-                del data.metrics_log[:]
+    if jobs > 1:
+        _pool_schedule(
+            order, data, jobs,
+            on_result=lambda cell, value: settle(cell["key"],
+                                                 value["record"]))
+        return records
+    for cell in order:
+        settle(cell["key"], _run_cell(cell, data)["record"])
+        if trim_logs:
+            del data.with_seed_offset(cell["seed_offset"]).metrics_log[:]
     return records
 
 
@@ -487,9 +441,11 @@ def run_experiments(
     """Run experiments, in parallel when ``jobs > 1``.
 
     Results come back keyed by id in the requested order regardless of
-    completion order.  ``jobs=1`` (the default) runs serially
-    in-process (sharing ``data`` when given, so tests and the
-    single-core path pay no pickling or re-kerneling cost).
+    completion order.  Every experiment runs on ``data`` (default: the
+    shared ``default_data`` at the given scales), whatever ``jobs`` is:
+    ``jobs=1`` (the default) runs the experiments serially in-process,
+    ``jobs > 1`` computes their simulation cells on a pool and replays
+    the experiments in-process over the returned records.
 
     ``cell_sink`` streams per-simulation records to the caller as work
     completes (see :data:`CellSink`); the run-directory layer uses it
@@ -525,150 +481,106 @@ def _run_experiments_inner(
     cell_sink: Optional[CellSink] = None,
 ) -> tuple[dict[str, ExperimentResult], list[ExperimentProfile]]:
     ids: Sequence[str] = tuple(experiment_ids or EXPERIMENT_IDS)
-    jobs = max(1, jobs)
-
-    if jobs == 1 or not ids:
-        if data is None:
-            data = default_data(threat_scale, terrain_scale)
-        results: dict[str, ExperimentResult] = {}
-        profiles: list[ExperimentProfile] = []
-        for eid in ids:
-            n0 = len(data.metrics_log)
-            t0 = time.perf_counter()
-            with store.cache_scope() as sc:
-                results[eid] = run_experiment(eid, data)
-            wall = time.perf_counter() - t0
-            profiles.append(ExperimentProfile(
-                experiment_id=eid, wall_seconds=wall,
-                cache_hits=sc.hits, cache_misses=sc.misses,
-                metrics=tuple(data.metrics_log[n0:])))
-            if cell_sink is not None:
-                cell_sink(eid, data.metrics_log[n0:])
-        return results, profiles
-
-    # Cell-granular scheduling needs the persistent cache to transport
-    # simulation results between workers, and an active tracer must
-    # observe real simulations in the run's own process semantics --
-    # either condition falls back to classic per-experiment tasks.
-    if store.active_cache() is not None and active_tracer() is None:
-        pairs = _cell_run(ids, threat_scale, terrain_scale, jobs,
-                          cell_sink=cell_sink)
+    if data is None:
+        data = default_data(threat_scale, terrain_scale)
+    # forked workers' trace recorders never report back, so a traced
+    # run stays in this process
+    if jobs > 1 and active_tracer() is None:
+        pairs = _cell_run(ids, data, jobs, cell_sink=cell_sink)
     else:
-        pairs = _experiment_run(ids, threat_scale, terrain_scale,
-                                min(jobs, len(ids)),
-                                cell_sink=cell_sink)
+        pairs = {}
+        for eid in ids:
+            pairs[eid] = _run_one(eid, data)
+            if cell_sink is not None:
+                cell_sink(eid, pairs[eid][1].metrics)
     return ({eid: pairs[eid][0] for eid in ids},
             [pairs[eid][1] for eid in ids])
 
 
 # ----------------------------------------------------------------------
-# the generic crash-salvaging pool scheduler
+# the crash-salvaging pool scheduler
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Task:
-    """One unit of pool work.
-
-    ``task_id`` is unique per run and names the start sentinel;
-    ``unit`` is the fault-attribution id (crash injection, WorkerError)
-    -- the bare experiment id for plan/replay tasks, ``cell:...`` for
-    cells, so resilience seeds derived over experiment ids are
-    unaffected by how many cells an experiment fans out into.
-    """
-
-    task_id: str
-    unit: str
-    fn: Callable
-    payload: object = field(compare=False)
-
-
 def _pool_schedule(
-    tasks: Sequence[_Task],
-    threat_scale: float,
-    terrain_scale: float,
+    cells: Sequence[dict],
+    data: BenchmarkData,
     jobs: int,
-    on_result: Optional[Callable[[str, object], list[_Task]]] = None,
-) -> dict[str, object]:
-    """Drain tasks through one persistent pool, surviving crashes.
+    on_result: Callable[[dict, dict], None],
+) -> None:
+    """Drain cells through one persistent pool, surviving crashes.
 
-    ``on_result(task_id, value)`` may return follow-up tasks, which is
-    how planning fans out into cells and cells into replays without any
-    phase barrier.
+    Workers are forks of this process running each cell on ``data``.
+    Each record a worker returns is memoized into ``data`` (so a later
+    in-process ``_simulate`` of that cell is a memo hit) before
+    ``on_result(cell, value)`` sees it.
 
     A worker that dies (``os._exit``, segfault, OOM kill) breaks the
     entire pool: every unfinished future raises
     :class:`BrokenProcessPool`.  Futures that completed *before* the
     crash still hold their results, so those are salvaged; the pool is
-    rebuilt and only the failures are retried -- each task gets
+    rebuilt and only the failures are retried -- each cell gets
     ``REPRO_RETRY_MAX`` attempts with exponential backoff.  The attempt
     number reaches the worker, so deterministic crash injection
     (``REPRO_CHAOS_CRASH``) can fault attempt 0 and spare the retry.
 
-    Pool breakage poisons *every* unfinished future, including tasks
+    Pool breakage poisons *every* unfinished future, including cells
     that were still queued (or mid-run on another worker) when the
     culprit's worker died, and the executor gives no way to tell them
     apart.  Charging every poisoned future an attempt would let one bad
-    task exhaust innocent budgets.  So workers touch a start sentinel
-    before running, and after a breakage the tasks that had *started*
+    cell exhaust innocent budgets.  So workers touch a start sentinel
+    before running, and after a breakage the cells that had *started*
     the broken round (a superset containing the culprit, at most
     pool-width wide) are re-run one at a time: running alone, a crash
-    identifies its task exactly, and only that task's attempt counter
-    moves.  Tasks that never started are requeued uncharged.
+    identifies its cell exactly, and only that cell's attempt counter
+    moves.  Cells that never started are requeued uncharged.
 
     Retry backoff (``base * 2**(attempt-1)``) is applied as a
-    *readiness deadline* on the requeued task, not an inline sleep: the
+    *readiness deadline* on the requeued cell, not an inline sleep: the
     scheduler keeps collecting other results while a retry waits, and a
-    task that exhausts its attempt budget raises immediately -- the
+    cell that exhausts its attempt budget raises immediately -- the
     final failure never sleeps first.
     """
     import multiprocessing as mp
     import shutil
     import tempfile
 
+    if not cells:
+        return
     # Fork (when the platform has it) so workers inherit the parent's
     # warm kernel/job memos copy-on-write -- the pool is created after
     # planning precisely so there is something to inherit.
     mp_context = (mp.get_context("fork")
                   if "fork" in mp.get_all_start_methods() else None)
+    started_dir = tempfile.mkdtemp(prefix="repro-pool-")
 
     def new_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=jobs,
-                                   mp_context=mp_context)
+        return ProcessPoolExecutor(
+            max_workers=min(jobs, len(cells)), mp_context=mp_context,
+            initializer=_init_worker, initargs=(data, started_dir))
 
     max_attempts = max(1, int(os.environ.get(RETRY_MAX_ENV, "3")))
     backoff = float(os.environ.get(RETRY_BACKOFF_ENV, "0.25"))
-    results: dict[str, object] = {}
-    by_id: dict[str, _Task] = {}
-    attempts: dict[str, int] = {}
+    by_key = {cell["key"]: cell for cell in cells}
+    attempts = dict.fromkeys(by_key, 0)
     not_before: dict[str, float] = {}
-    queue: list[str] = []
+    queue: list[str] = list(by_key)
     suspects: list[str] = []
-    started_dir = tempfile.mkdtemp(prefix="repro-pool-")
     pool = new_pool()
 
-    def enqueue(task: _Task) -> None:
-        by_id[task.task_id] = task
-        attempts.setdefault(task.task_id, 0)
-        queue.append(task.task_id)
+    def settle(key: str, value: dict) -> None:
+        record = value["record"]
+        data.with_seed_offset(record["seed_offset"]).remember(record)
+        on_result(by_key[key], value)
 
-    def settle(tid: str, value: object) -> None:
-        results[tid] = value
-        if on_result is not None:
-            for task in (on_result(tid, value) or ()):
-                enqueue(task)
-
-    def charge(tid: str) -> None:
+    def charge(key: str) -> None:
         """One failed attempt; sets the retry deadline.  The caller
         raises instead of calling this when the budget is exhausted."""
-        attempts[tid] += 1
-        not_before[tid] = time.monotonic() + \
-            backoff * (2.0 ** (attempts[tid] - 1))
+        attempts[key] += 1
+        not_before[key] = time.monotonic() + \
+            backoff * (2.0 ** (attempts[key] - 1))
 
-    def submit(tid: str):
-        task = by_id[tid]
-        return pool.submit(task.fn, task.payload, threat_scale,
-                           terrain_scale, attempts[tid], started_dir,
-                           tid)
+    def submit(key: str):
+        return pool.submit(_pool_cell, by_key[key], attempts[key])
 
     def rebuild_pool() -> None:
         nonlocal pool
@@ -676,99 +588,102 @@ def _pool_schedule(
         pool.shutdown(wait=False, cancel_futures=True)
         pool = new_pool()
 
-    def classify(tid: str) -> None:
-        """After a pool breakage: suspect if the task had started its
+    def classify(key: str) -> None:
+        """After a pool breakage: suspect if the cell had started its
         current attempt, requeue uncharged otherwise."""
         started = os.path.exists(os.path.join(
-            started_dir, f"{tid}.{attempts[tid]}"))
+            started_dir, f"{key}.{attempts[key]}"))
         if started:
-            suspects.append(tid)
+            suspects.append(key)
         else:
-            queue.append(tid)
-
-    for task in tasks:
-        enqueue(task)
+            queue.append(key)
 
     try:
         while queue or suspects:
             # isolation phase: one suspect at a time, so a dead worker
-            # names its task unambiguously
+            # names its cell unambiguously
             while suspects:
-                tid = suspects.pop(0)
-                delay = not_before.get(tid, 0.0) - time.monotonic()
+                key = suspects.pop(0)
+                delay = not_before.get(key, 0.0) - time.monotonic()
                 if delay > 0:
                     time.sleep(delay)
-                fut = submit(tid)
+                fut = submit(key)
                 try:
-                    settle(tid, fut.result())
+                    settle(key, fut.result())
                 except BrokenProcessPool as exc:
                     rebuild_pool()
-                    if attempts[tid] + 1 >= max_attempts:
+                    if attempts[key] + 1 >= max_attempts:
                         raise WorkerError(
-                            by_id[tid].unit,
+                            by_key[key]["unit"],
                             f"worker process died "
                             f"({max_attempts} attempts): {exc}") \
                             from exc
-                    charge(tid)
-                    suspects.insert(0, tid)
-                except Exception:
-                    if attempts[tid] + 1 >= max_attempts:
+                    charge(key)
+                    suspects.insert(0, key)
+                except WorkerError:
+                    if attempts[key] + 1 >= max_attempts:
                         raise
-                    charge(tid)
-                    suspects.insert(0, tid)
+                    charge(key)
+                    suspects.insert(0, key)
             if not queue:
                 break
 
-            # pipelined phase: keep the pool saturated with every task
-            # that is ready, collecting and fanning out as they finish
+            # pipelined phase: keep the pool saturated with every cell
+            # that is ready, collecting results as they finish
             inflight: dict[object, str] = {}
             broken = False
             while queue or inflight:
                 now = time.monotonic()
-                ready = [tid for tid in queue
-                         if not_before.get(tid, 0.0) <= now]
+                ready = [key for key in queue
+                         if not_before.get(key, 0.0) <= now]
                 if ready:
-                    queue[:] = [tid for tid in queue
-                                if tid not in set(ready)]
-                    for tid in ready:
-                        inflight[submit(tid)] = tid
+                    queue[:] = [key for key in queue
+                                if key not in set(ready)]
+                    for key in ready:
+                        inflight[submit(key)] = key
                 if not inflight:
                     # everything queued is a retry waiting out backoff
-                    soonest = min(not_before[tid] for tid in queue)
+                    soonest = min(not_before[key] for key in queue)
                     time.sleep(max(0.0, soonest - time.monotonic()))
                     continue
                 timeout = None
                 if queue:
-                    soonest = min(not_before.get(tid, 0.0)
-                                  for tid in queue)
+                    soonest = min(not_before.get(key, 0.0)
+                                  for key in queue)
                     timeout = max(0.0, soonest - time.monotonic())
                 done, _ = wait(list(inflight), timeout=timeout,
                                return_when=FIRST_COMPLETED)
                 for fut in done:
-                    tid = inflight.pop(fut)
+                    key = inflight.pop(fut)
                     try:
-                        settle(tid, fut.result())
+                        value = fut.result()
                     except BrokenProcessPool:
                         broken = True
-                        classify(tid)
-                    except Exception:
-                        if attempts[tid] + 1 >= max_attempts:
+                        classify(key)
+                        continue
+                    except WorkerError:
+                        if attempts[key] + 1 >= max_attempts:
                             raise
-                        charge(tid)
-                        queue.append(tid)
+                        charge(key)
+                        queue.append(key)
+                        continue
+                    settle(key, value)
                 if broken:
                     # drain survivors: completed futures still hold
                     # results, everything else is poisoned
-                    for fut, tid in list(inflight.items()):
+                    for fut, key in list(inflight.items()):
                         try:
-                            settle(tid, fut.result())
+                            value = fut.result()
                         except BrokenProcessPool:
-                            classify(tid)
-                        except Exception:
-                            if attempts[tid] + 1 >= max_attempts:
+                            classify(key)
+                            continue
+                        except WorkerError:
+                            if attempts[key] + 1 >= max_attempts:
                                 raise
-                            charge(tid)
-                            queue.append(tid)
+                            charge(key)
+                            queue.append(key)
+                            continue
+                        settle(key, value)
                     inflight.clear()
                     rebuild_pool()
                     if not suspects:
@@ -778,57 +693,41 @@ def _pool_schedule(
                         suspects[:] = queue
                         queue[:] = []
                     break
-    finally:
+    except BaseException:
         pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    else:
+        pool.shutdown(wait=True)
+    finally:
         shutil.rmtree(started_dir, ignore_errors=True)
-    return results
-
-
-def _experiment_run(
-    ids: Sequence[str], threat_scale: float, terrain_scale: float,
-    jobs: int, cell_sink: Optional[CellSink] = None,
-) -> dict[str, tuple[ExperimentResult, ExperimentProfile]]:
-    """Per-experiment scheduling (no cache to share cells through)."""
-    tasks = [_Task("run:" + eid, eid, _run_one, eid) for eid in ids]
-
-    def on_result(tid: str, value) -> list[_Task]:
-        if cell_sink is not None:
-            _result, profile = value
-            cell_sink(tid[len("run:"):], profile.metrics)
-        return []
-
-    results = _pool_schedule(tasks, threat_scale, terrain_scale, jobs,
-                             on_result=on_result)
-    return {eid: results["run:" + eid] for eid in ids}
 
 
 def _cell_run(
-    ids: Sequence[str], threat_scale: float, terrain_scale: float,
-    jobs: int, cell_sink: Optional[CellSink] = None,
+    ids: Sequence[str], data: BenchmarkData, jobs: int,
+    cell_sink: Optional[CellSink] = None,
 ) -> dict[str, tuple[ExperimentResult, ExperimentProfile]]:
     """Cell-granular scheduling: plan -> deduped cells -> replay.
 
-    Planning happens up front in this process (warming the kernels and
-    jobs the forked workers then inherit).  The transportable cells of
-    all experiments are deduplicated against each other and against
-    the persistent cache, sorted largest first, and fanned over the
-    pool; each experiment's replay follows as soon as its last
-    outstanding cell lands.  Cell cost (wall and cache misses) is
-    charged to the first experiment that planned the cell.
+    Planning happens up front in this process on a probe sharing
+    ``data``'s memos (warming the kernels and jobs the forked workers
+    then inherit).  The transportable cells of all experiments are
+    deduplicated against each other and against the persistent cache,
+    sorted largest first, and fanned over the pool; each experiment is
+    replayed on ``data`` here as soon as its last outstanding cell
+    lands.  Cell cost (wall and cache misses) is charged to the first
+    experiment that planned the cell.
     """
     cache = store.active_cache()
     planner = _PlanningData(
-        threat_scale=threat_scale, terrain_scale=terrain_scale,
-        donor=default_data(threat_scale, terrain_scale))
+        threat_scale=data.threat_scale, terrain_scale=data.terrain_scale,
+        seed_offset=data.seed_offset, donor=data)
 
     plan_wall = dict.fromkeys(ids, 0.0)
     charged_wall = dict.fromkeys(ids, 0.0)
     charged_miss = dict.fromkeys(ids, 0)
-    key_of_task: dict[str, str] = {}
     owner: dict[str, str] = {}          # cell key -> charged eid
     waiting: dict[str, list[str]] = {}  # cell key -> waiting eids
     remaining: dict[str, set] = {eid: set() for eid in ids}
-    replayed: set = set()
 
     pending_cells: list[dict] = []
     seen: dict[str, bool] = {}          # cell key -> needs computing
@@ -839,7 +738,7 @@ def _cell_run(
             if cell is None:
                 continue  # inline-built job: replay computes it
             if key not in seen:
-                seen[key] = cache.get(key) is None
+                seen[key] = cache is None or cache.get(key) is None
                 if seen[key]:
                     owner[key] = eid
                     waiting[key] = []
@@ -848,54 +747,42 @@ def _cell_run(
                 waiting[key].append(eid)
                 remaining[eid].add(key)
 
-    def replay_task(eid: str) -> _Task:
-        replayed.add(eid)
-        return _Task("run:" + eid, eid, _run_one, eid)
+    out: dict[str, tuple[ExperimentResult, ExperimentProfile]] = {}
+    # experiments with nothing outstanding replay as soon as the pool
+    # has work of its own
+    ready = [eid for eid in ids if not remaining[eid]]
 
-    # largest first: the biggest cells bound the tail of the run
-    pending_cells.sort(key=lambda c: c["weight"], reverse=True)
-    tasks: list[_Task] = []
-    for cell in pending_cells:
-        task_id = "cell:" + cell["key"]
-        key_of_task[task_id] = cell["key"]
-        tasks.append(_Task(task_id, cell["unit"], _run_cell, cell))
-    # experiments with nothing outstanding replay straight away
-    tasks.extend(replay_task(eid) for eid in ids if not remaining[eid])
-
-    def on_result(tid: str, value) -> list[_Task]:
-        if not tid.startswith("cell:"):
-            # a replay finished: stream every record it consulted (the
-            # sink dedupes against the cell-task records by cache key)
+    def replay_ready() -> None:
+        while ready:
+            eid = ready.pop(0)
+            result, rp = _run_one(eid, data)
             if cell_sink is not None:
-                _result, profile = value
-                cell_sink(tid[len("run:"):], profile.metrics)
-            return []
-        key = key_of_task[tid]
+                # every record the replay consulted; the sink dedupes
+                # against the cell records by cache key
+                cell_sink(eid, rp.metrics)
+            out[eid] = (result, replace(
+                rp,
+                wall_seconds=(plan_wall[eid] + charged_wall[eid]
+                              + rp.wall_seconds),
+                cache_misses=charged_miss[eid] + rp.cache_misses))
+
+    def on_result(cell: dict, value: dict) -> None:
+        key = cell["key"]
         eid = owner[key]
         charged_wall[eid] += value["wall"]
         charged_miss[eid] += value["misses"]
-        if cell_sink is not None and value.get("record") is not None:
+        if cell_sink is not None:
             cell_sink(eid, (value["record"],))
-        new: list[_Task] = []
-        for waiter in waiting.pop(key, ()):
+        for waiter in waiting.pop(key):
             remaining[waiter].discard(key)
-            if not remaining[waiter] and waiter not in replayed:
-                new.append(replay_task(waiter))
-        return new
+            if not remaining[waiter]:
+                ready.append(waiter)
+        replay_ready()
 
-    results = _pool_schedule(tasks, threat_scale, terrain_scale, jobs,
-                             on_result=on_result)
-
-    out: dict[str, tuple[ExperimentResult, ExperimentProfile]] = {}
-    for eid in ids:
-        result, rp = results["run:" + eid]
-        out[eid] = (result, ExperimentProfile(
-            experiment_id=eid,
-            wall_seconds=(plan_wall[eid] + charged_wall[eid]
-                          + rp.wall_seconds),
-            cache_hits=rp.cache_hits,
-            cache_misses=charged_miss[eid] + rp.cache_misses,
-            metrics=rp.metrics))
+    # largest first: the biggest cells bound the tail of the run
+    pending_cells.sort(key=lambda c: c["weight"], reverse=True)
+    _pool_schedule(pending_cells, data, jobs, on_result)
+    replay_ready()
     return out
 
 
@@ -948,7 +835,8 @@ def render_profile(profiles: list[ExperimentProfile]) -> str:
     Under cell-granular scheduling an experiment's wall is its plan +
     the cells it was first to request + its replay; misses are counted
     where the simulation was actually computed, hits are the replay's
-    cache reads.
+    persistent-cache reads (cells computed during the run reach the
+    replay through the in-process memo and count as neither).
     """
     lines = [
         f"{'experiment':<26} {'wall (s)':>9} {'cache hits':>11} "

@@ -247,6 +247,12 @@ class BenchmarkData:
         self.metrics_log.append(record)
         return record["seconds"]
 
+    def remember(self, record: dict) -> None:
+        """Memoize a simulation record computed elsewhere (a pool
+        worker running one of this data's cells), so the next
+        ``_simulate`` of that cell is a memo hit."""
+        self._cache["sim-" + record["key"]] = record
+
     def run_conventional(self, spec: MachineSpec, job: Job, *,
                          slices_per_phase: int = 16,
                          exploit_fine_grained: bool = False) -> float:

@@ -18,19 +18,23 @@ from repro.harness.parallel import (
 from repro.faults.plan import derive_unit
 
 SCALES = dict(threat_scale=0.01, terrain_scale=0.03)
-#: cheap experiments (no simulated jobs / one tiny job each)
-CHEAP = ["autopar", "ablation-temp-memory", "micro"]
+#: cheap experiments whose cells span five fault units:
+#: ``cell:th-job-seq@0`` and ``cell:th-job-ch-<k>-os@0`` for k = 1..4
+CHEAP = ["table2", "table3"]
+CHEAP_UNITS = ["cell:th-job-seq@0"] + [
+    f"cell:th-job-ch-{k}-os@0" for k in range(1, 5)]
 
 
-def crash_env(eids_to_crash, mode="exit", attempts=(0,), seed_limit=5000):
-    """Find a seed that crashes exactly the given (eid, attempt)
-    pairs among CHEAP experiments -- deterministic by construction."""
-    want = {(e, a) for e in eids_to_crash for a in attempts}
+def crash_env(units_to_crash, mode="exit", attempts=(0,), seed_limit=5000,
+              rate=0.2):
+    """Find a seed that crashes exactly the given (unit, attempt)
+    pairs among CHEAP's cell units -- deterministic by construction."""
+    want = {(u, a) for u in units_to_crash for a in attempts}
     for seed in range(seed_limit):
-        hits = {(e, a) for e in CHEAP for a in (0, 1, 2)
-                if derive_unit(seed, e, a, "worker-crash") < 0.5}
+        hits = {(u, a) for u in CHEAP_UNITS for a in (0, 1, 2)
+                if derive_unit(seed, u, a, "worker-crash") < rate}
         if hits == want:
-            return f"{seed}:0.5:{mode}"
+            return f"{seed}:{rate}:{mode}"
     raise AssertionError("no suitable crash seed found")
 
 
@@ -43,9 +47,9 @@ def test_worker_error_carries_child_traceback(monkeypatch, tmp_path):
     monkeypatch.setenv(CHAOS_CRASH_ENV, "1:1.1:raise")  # always raise
     monkeypatch.setenv(RETRY_MAX_ENV, "1")
     with pytest.raises(WorkerError) as excinfo:
-        run_experiments(["autopar", "micro"], jobs=2, **SCALES)
+        run_experiments(CHEAP, jobs=2, **SCALES)
     err = excinfo.value
-    assert err.experiment_id in ("autopar", "micro")
+    assert err.unit in CHEAP_UNITS
     assert "injected worker fault" in err.child_traceback
     assert "Traceback (most recent call last)" in err.child_traceback
     # the child traceback is part of the rendered message
@@ -55,10 +59,10 @@ def test_worker_error_carries_child_traceback(monkeypatch, tmp_path):
 def test_worker_error_survives_pickling():
     import pickle
 
-    err = WorkerError("table5", "Traceback ...")
+    err = WorkerError("cell:th-job-seq@0", "Traceback ...")
     clone = pickle.loads(pickle.dumps(err))
     assert isinstance(clone, WorkerError)
-    assert clone.experiment_id == "table5"
+    assert clone.unit == "cell:th-job-seq@0"
     assert clone.child_traceback == "Traceback ..."
 
 
@@ -73,16 +77,21 @@ def test_crash_config_validation(monkeypatch):
     monkeypatch.setenv(CHAOS_CRASH_ENV, "7:0.5:explode")
     with pytest.raises(ValueError):
         _maybe_crash("x", 0)
+    # every worker unit is a cell: the old opt-in suffix is an error
+    monkeypatch.setenv(CHAOS_CRASH_ENV, "7:0.5:exit+cells")
+    with pytest.raises(ValueError, match=r"\+cells"):
+        _maybe_crash("cell:th-job-seq@0", 0)
     monkeypatch.delenv(CHAOS_CRASH_ENV)
     _maybe_crash("x", 0)  # no config: no-op
 
 
 def test_crashed_worker_retried_and_salvaged(monkeypatch, tmp_path):
-    """One experiment's worker dies on attempt 0; the pool is rebuilt,
-    completed results are salvaged, and the retry succeeds."""
+    """One cell unit's worker dies on attempt 0; the pool is rebuilt,
+    the other units' completed results are salvaged, and the retry
+    succeeds."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
     monkeypatch.setenv(CHAOS_CRASH_ENV,
-                       crash_env(["autopar"], mode="exit"))
+                       crash_env(["cell:th-job-ch-2-os@0"], mode="exit"))
     monkeypatch.setenv(RETRY_BACKOFF_ENV, "0.01")
     results, profiles = run_experiments(CHEAP, jobs=2, **SCALES)
     assert sorted(results) == sorted(CHEAP)
@@ -97,22 +106,9 @@ def test_crash_every_attempt_exhausts_retries(monkeypatch, tmp_path):
     monkeypatch.setenv(RETRY_MAX_ENV, "2")
     monkeypatch.setenv(RETRY_BACKOFF_ENV, "0.01")
     with pytest.raises(WorkerError) as excinfo:
-        run_experiments(["autopar", "micro"], jobs=2, **SCALES)
+        run_experiments(CHEAP, jobs=2, **SCALES)
     assert "worker process died" in str(excinfo.value)
     assert "2 attempts" in str(excinfo.value)
-
-
-def test_cell_units_crash_only_with_cells_flag(monkeypatch):
-    """Simulation-cell fault units are opt-in (``+cells`` mode suffix)
-    so experiment-level chaos seeds stay deterministic regardless of
-    how many cells an experiment fans out into."""
-    monkeypatch.setenv(CHAOS_CRASH_ENV, "1:1.1:raise")
-    with pytest.raises(RuntimeError):
-        _maybe_crash("table2", 0)
-    _maybe_crash("cell:th-job-seq@0", 0)     # gated off: no-op
-    monkeypatch.setenv(CHAOS_CRASH_ENV, "1:1.1:raise+cells")
-    with pytest.raises(RuntimeError):
-        _maybe_crash("cell:th-job-seq@0", 0)
 
 
 def test_crashed_cell_retried_and_salvaged(monkeypatch, tmp_path):
@@ -129,14 +125,14 @@ def test_crashed_cell_retried_and_salvaged(monkeypatch, tmp_path):
 
     unit = "cell:th-job-seq@0"
     for seed in range(5000):
-        hits = {(u, a) for u in (unit, "table2") for a in (0, 1, 2)
-                if d(seed, u, a, "worker-crash") < 0.5}
-        if hits == {(unit, 0)}:
+        hits = {a for a in (0, 1, 2)
+                if d(seed, unit, a, "worker-crash") < 0.5}
+        if hits == {0}:
             break
     else:
         raise AssertionError("no suitable crash seed found")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
-    monkeypatch.setenv(CHAOS_CRASH_ENV, f"{seed}:0.5:exit+cells")
+    monkeypatch.setenv(CHAOS_CRASH_ENV, f"{seed}:0.5:exit")
     monkeypatch.setenv(RETRY_BACKOFF_ENV, "0.01")
     results, profiles = run_experiments(
         ["table2"], jobs=2, threat_scale=0.012, terrain_scale=0.03)
@@ -149,7 +145,7 @@ def test_crashed_cell_retried_and_salvaged(monkeypatch, tmp_path):
 def test_cell_crash_every_attempt_exhausts_retries(monkeypatch,
                                                    tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
-    monkeypatch.setenv(CHAOS_CRASH_ENV, "3:1.1:exit+cells")
+    monkeypatch.setenv(CHAOS_CRASH_ENV, "3:1.1:exit")
     monkeypatch.setenv(RETRY_MAX_ENV, "2")
     monkeypatch.setenv(RETRY_BACKOFF_ENV, "0.01")
     with pytest.raises(WorkerError) as excinfo:
@@ -162,8 +158,8 @@ def test_serial_path_ignores_crash_injection(monkeypatch, tmp_path):
     """jobs=1 runs in-process; crash faults target workers only."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
     monkeypatch.setenv(CHAOS_CRASH_ENV, "3:1.1:exit")
-    results, _ = run_experiments(["autopar"], jobs=1, **SCALES)
-    assert results["autopar"].all_checks_pass()
+    results, _ = run_experiments(["table2"], jobs=1, **SCALES)
+    assert results["table2"].all_checks_pass()
 
 
 # ----------------------------------------------------------------------

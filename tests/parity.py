@@ -15,10 +15,9 @@ positions of the cohort engine's ``REPRO_FORCE_CLOSED_FORM`` escape
 hatch (closed-form layers on and off).
 """
 
+from repro.harness.bench import REL_TOL
 from repro.machines import ConventionalMachine, cmt, exemplar
 from repro.mta import MtaMachine, mta
-
-REL_TOL = 1e-9
 
 
 def rel_err(a: float, b: float) -> float:
