@@ -57,26 +57,13 @@ disabled together by ``REPRO_FORCE_CLOSED_FORM=0``):
   lock-wait statistics (``waits``, ``wait_time``, depth histogram)
   computed arithmetically.
 
-* **Work-queue regions** -- a two-server pull-from-queue region
-  (:meth:`CohortEngine._run_queue`) exploits that between completion
-  events every worker's service rate is piecewise-constant.  A server
-  whose largest per-job cap fits under ``capacity / n_workers`` is
-  *never contended*: the fair share can never drop below the cap, so
-  the DES arithmetic always yields ``rate == cap`` and each of its
-  jobs is a fixed-duration span computed in closed form
-  (``demand / cap``, the ``serve_alone`` arithmetic) -- one arrival
-  timer per segment, sequenced at its simulated start so simultaneous
-  completions stay in the stepped engine's submission order.  Only
-  the contended server -- the shared bus, whose rate genuinely
-  changes with membership -- keeps the event-stepped batch-server
-  arithmetic, bit-identical to the stepped path.  Busy time for
-  folded servers is the union length of their recorded spans; served
-  work accumulates per span.  Folding shifts completion times by
-  ulps (exact spans instead of the batch server's incremental
-  accrual), which every timeline tolerance absorbs but an integer
-  lock counter cannot -- an ulp can flip an exact release/acquire
-  tie -- so lock-taking regions event-step *both* servers and the
-  solver keeps only its leaner control flow.
+Work-queue regions take none of these layers: class compression and
+convoy drains are off while a queue is attached, and every worker
+event-steps on the shared two-server loop (a one-worker queue is the
+closed-form single-member replay).  Every generated queue region takes
+locks, and folding its uncontended servers into closed-form spans
+shifts completion times by ulps -- enough to flip an exact
+release/acquire tie and change the integer lock statistics.
 
 Equivalence with the DES path is *numerical*, not bit-for-bit: the
 vectorized allocation follows the same formulas but groups float
@@ -158,29 +145,6 @@ def convoy_schedule(start: float, n: int, delta: float) -> np.ndarray:
     lock for ``delta`` and completes at ``start + i * delta``.
     """
     return start + np.arange(1, n + 1, dtype=np.float64) * delta
-
-
-def span_union_length(spans: Sequence[float]) -> float:
-    """Total length of the union of ``[start, end, start, end, ...]``.
-
-    The work-queue solver computes each uncontended-server job as a
-    closed-form span; the server's busy time is the measure of the
-    union of those spans (the event-stepped engine accumulates the
-    same quantity as per-event ``dt`` while the server is non-empty).
-    Spans may overlap and arrive in any start order.
-    """
-    if not spans:
-        return 0.0
-    a = np.asarray(spans, dtype=np.float64).reshape(-1, 2)
-    order = np.argsort(a[:, 0], kind="stable")
-    starts = a[order, 0]
-    cover = np.maximum.accumulate(a[order, 1])
-    gaps = starts[1:] - cover[:-1]
-    total = float(cover[-1] - starts[0])
-    pos = gaps[gaps > 0.0]
-    if pos.size:
-        total -= float(pos.sum())
-    return total
 
 
 class ScalarBatchServer:
@@ -870,8 +834,7 @@ class CohortEngine:
         #: engine-choice accounting threaded into ``RunResult.stats``
         self.stats = {"members": n, "classes": len(threads),
                       "closed_form": 0, "drained_grants": 0,
-                      "stepped_grants": 0, "events": 0,
-                      "queue_solver": 0}
+                      "stepped_grants": 0, "events": 0}
 
     # ------------------------------------------------------------------
     def run(self) -> float:
@@ -887,10 +850,6 @@ class CohortEngine:
             if end is not None:
                 self.stats["closed_form"] = 1
                 return end
-        if self.closed_form and self.queue is not None:
-            plan = self._queue_plan()
-            if plan is not None:
-                return self._run_queue(plan)
         # threads start in creation order (DES bootstrap order)
         for tid in range(len(self.threads)):
             self._advance_thread(tid)
@@ -1083,249 +1042,6 @@ class CohortEngine:
         return end
 
     # ------------------------------------------------------------------
-    def _queue_plan(self) -> Optional[int]:
-        """Eligibility scan for the closed-form work-queue solver.
-
-        Returns the *stepped* server id (the one whose rate genuinely
-        varies with membership), ``-1`` when every server is
-        uncontended, ``2`` when the region takes locks (both servers
-        are then event-stepped, see below), or ``None`` when the
-        region must event-step: more than two servers, PAR segments,
-        mixed home servers, or two servers that can both be contended.
-
-        A server is *uncontended* when its largest per-job cap fits
-        under ``capacity / n_workers`` (float division, the exact
-        comparison the batch servers make): the fair share can never
-        drop below any cap, so every allocation resolves to
-        ``rate == cap`` and the job's duration is closed-form.
-
-        Folding an uncontended server replaces the batch server's
-        incremental ``remaining -= rate * dt`` accrual with the exact
-        ``demand / cap`` span, which shifts completion times by ulps.
-        That is inside every tolerance the timeline is held to -- but
-        lock statistics are *integers*, and an ulp shift can flip an
-        exact tie between a release and a third party's acquire,
-        changing who waits.  So any region that takes locks steps both
-        servers with the real batch arithmetic (bit-identical to the
-        event-stepped engine by construction) and only lock-free
-        regions fold.
-        """
-        if len(self.servers) != 2:
-            return None
-        threads = self.threads
-        own0 = threads[0].own
-        for th in threads:
-            if th.own != own0:
-                return None
-        maxcap = [0.0, 0.0]
-        locked = False
-
-        def scan(segs) -> bool:
-            nonlocal locked
-            for seg in segs:
-                op = seg[0]
-                if op == SRV:
-                    _op, sid, demand, cap = seg
-                    if demand <= 0:
-                        continue
-                    if sid is None:
-                        sid = own0
-                    c = cap if cap is not None else _INF
-                    if c > maxcap[sid]:
-                        maxcap[sid] = c
-                elif op == ACQ:
-                    locked = True
-                elif op == PAR:
-                    return False
-                elif op not in (SLEEP, REL):
-                    return False
-            return True
-
-        for segs in (th.segs for th in threads):
-            if not scan(segs):
-                return None
-        for item in self.queue:
-            if not scan(item):
-                return None
-        k = self.n_members
-        unc = [maxcap[sid] <= self.servers[sid].capacity / k
-               for sid in (0, 1)]
-        if not (unc[0] or unc[1]):
-            return None
-        if locked:
-            return 2
-        if unc[0] and unc[1]:
-            return -1
-        return 1 if unc[0] else 0
-
-    def _run_queue(self, stepped: int) -> float:
-        """Closed-form/bus-coupled replay of a work-queue region.
-
-        Jobs on folded (uncontended) servers run at exactly their
-        cap, so each segment's completion time is the arithmetic
-        ``demand / cap`` span -- no fair-share rebalancing, no server
-        flushes.  ``stepped`` selects which servers keep the real
-        batch-server arithmetic: a contended server's id (its
-        fair-share rate really does change at every membership
-        event), ``-1`` for none, or ``2`` for both -- the
-        lock-bearing case, where folding's ulp-level timeline shifts
-        could flip an exact tie and change the integer lock
-        statistics (see :meth:`_queue_plan`).  Lock handling (FIFO
-        grants, contention statistics) reuses the event-stepped
-        formulas verbatim.
-
-        Event ordering mirrors the stepped loop *exactly*: every
-        time-consuming segment is sequenced at its simulated start
-        (one arrival timer per segment, seq from the global ``_seq``
-        counter), all completions at one time are processed in
-        submission order, and lock grants drain after the batch like
-        ``_drain_grants``.  Sequencing per segment -- rather than
-        folding a run of segments into one arrival stamped at its
-        scheduling event -- is what keeps simultaneous completions
-        (exact ties on the demand grid, e.g. a lock release and a
-        third party's acquire at the same instant) ordered identically
-        to the stepped engine, so the lock statistics agree exactly,
-        not just the timeline.
-        """
-        servers = self.servers
-        threads = self.threads
-        q = self.queue
-        live0 = servers[0] if stepped in (0, 2) else None
-        live1 = servers[1] if stepped in (1, 2) else None
-        live = (live0, live1)
-        arrivals: list[tuple[float, int, int]] = []
-        granted: deque[int] = deque()
-        #: flat [start, end, ...] per folded server, unioned at the end
-        spans: tuple[list[float], list[float]] = ([], [])
-        served = [0.0, 0.0]
-        stats = self.stats
-        now = self.now
-
-        def advance(tid: int) -> None:
-            th = threads[tid]
-            segs = th.segs
-            i = th.idx
-            while True:
-                if i >= len(segs):
-                    if q:
-                        segs = th.segs = q.popleft()
-                        i = 0
-                        continue
-                    th.idx = i
-                    self.n_done += 1
-                    self.done_times.append(now)
-                    return
-                seg = segs[i]
-                op = seg[0]
-                if op == SRV:
-                    _op, sid, demand, cap = seg
-                    if demand <= 0:
-                        i += 1
-                        continue
-                    if sid is None:
-                        sid = th.own
-                    s = self._seq
-                    self._seq = s + 1
-                    s_live = live[sid]
-                    if s_live is not None:
-                        s_live.add(tid, demand, cap, s, now)
-                    else:
-                        # uncontended: rate == cap exactly (plan
-                        # checked cap <= capacity / n_workers, the
-                        # worst share); completes arithmetically
-                        dt = demand / cap
-                        sp = spans[sid]
-                        sp.append(now)
-                        sp.append(now + dt)
-                        served[sid] += cap * dt
-                        heappush(arrivals, (now + dt, s, tid))
-                    th.idx = i + 1
-                    return
-                elif op == SLEEP:
-                    if seg[1] > 0:
-                        s = self._seq
-                        self._seq = s + 1
-                        heappush(arrivals, (now + seg[1], s, tid))
-                        th.idx = i + 1
-                        return
-                    i += 1
-                elif op == ACQ:
-                    lk = self._lock(seg[1])
-                    i += 1
-                    if lk.holder is None:
-                        lk.holder = tid
-                        continue
-                    self._enqueue(lk, tid, i, 1, now, parked=True)
-                    th.idx = i
-                    return
-                else:  # REL (plan rejected every other opcode)
-                    lk = self._lock(seg[1])
-                    lk.holder = None
-                    if lk.queue:
-                        head = lk.queue[0]
-                        cid = head[0]
-                        lk.wait_time += now - head[3]
-                        lk.qlen -= 1
-                        if head[2] == 1:
-                            lk.queue.popleft()
-                        else:  # pragma: no cover - entries are weight-1
-                            head[2] -= 1
-                        lk.holder = cid
-                        threads[cid].idx = head[1]
-                        granted.append(cid)
-                        stats["stepped_grants"] += 1
-                    i += 1
-
-        # bootstrap in thread-creation order, like the stepped engine
-        for tid in range(len(threads)):
-            advance(tid)
-        while granted:
-            advance(granted.popleft())
-        if live0 is not None and live0._dirty:
-            live0.flush(now)
-        if live1 is not None and live1._dirty:
-            live1.flush(now)
-        n = self.n_members
-        events = 0
-        while self.n_done < n:
-            ta = arrivals[0][0] if arrivals else _INF
-            d0 = live0.due if live0 is not None else _INF
-            d1 = live1.due if live1 is not None else _INF
-            t = d0 if d0 < d1 else d1
-            if ta < t:
-                t = ta
-            if t == _INF:  # pragma: no cover - defensive
-                raise DesError("cohort region deadlocked")
-            events += 1
-            self.now = now = t
-            batch = live0.finish(t) if d0 <= t else []
-            if d1 <= t:
-                b1 = live1.finish(t)
-                batch = batch + b1 if batch else b1
-            while arrivals and arrivals[0][0] <= t:
-                _t, sq, tid = heappop(arrivals)
-                batch.append((sq, tid))
-            if len(batch) > 1:
-                batch.sort()
-            for _sq, tid in batch:
-                advance(tid)
-            while granted:
-                advance(granted.popleft())
-            if live0 is not None and live0._dirty:
-                live0.flush(t)
-            if live1 is not None and live1._dirty:
-                live1.flush(t)
-        for sid in (0, 1):
-            if live[sid] is not None:
-                continue
-            servers[sid].total_served += served[sid]
-            servers[sid].busy_time += span_union_length(spans[sid])
-        stats["events"] += events
-        stats["queue_solver"] = 1
-        if live0 is None and live1 is None:
-            stats["closed_form"] = 1
-        return self.now
-
     # ------------------------------------------------------------------
     def _run_two(self, n: int) -> float:
         """Event loop specialized for two servers (every conventional
@@ -1598,7 +1314,6 @@ class CohortEngine:
                                 # state settles
                                 self._seq = seq
                                 self._drain = (lk, now - w_.t_grant, w_)
-                                self._seq = seq
                                 deferred = True
                     if lk.queue and not deferred:
                         self._seq = seq

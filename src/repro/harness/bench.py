@@ -62,7 +62,7 @@ def _rows() -> dict[str, Callable]:
             data.threat_chunked_job(1024, thread_kind="hw")),
         # work-queue-dominated: 16 workers pull threat items off a
         # shared queue (the terrain merge locks ride along), exercising
-        # the closed-form queue solver rather than class compression
+        # the event-stepped two-server loop rather than class compression
         "exemplar16-terrain-bl16": lambda data, uc: (
             ConventionalMachine(exemplar(16), use_cohort=uc),
             data.terrain_blocked_job(16)),

@@ -123,8 +123,7 @@ class ConventionalMachine:
         # cohort-vs-DES coverage and fast-path lock statistics
         acct = {"cohort_regions": 0, "des_regions": 0,
                 "cohort_serial_steps": 0, "des_serial_steps": 0,
-                "closed_form_regions": 0, "queue_solver_regions": 0,
-                "drained_grants": 0,
+                "closed_form_regions": 0, "drained_grants": 0,
                 "stepped_grants": 0, "engine_events": 0,
                 "locks": {"waits": 0, "wait_time": 0.0, "convoy_max": 0,
                           "hist": {}}}
@@ -149,7 +148,6 @@ class ConventionalMachine:
             "cohort_serial_steps": float(acct["cohort_serial_steps"]),
             "des_serial_steps": float(acct["des_serial_steps"]),
             "closed_form_regions": float(acct["closed_form_regions"]),
-            "queue_solver_regions": float(acct["queue_solver_regions"]),
             "cohort_drained_grants": float(acct["drained_grants"]),
             "cohort_stepped_grants": float(acct["stepped_grants"]),
             "cohort_engine_events": float(acct["engine_events"]),
@@ -207,8 +205,6 @@ class ConventionalMachine:
                         self, step, cursor, cpu, bus)
                     acct["cohort_regions"] += 1
                     acct["closed_form_regions"] += est["closed_form"]
-                    acct["queue_solver_regions"] += est.get(
-                        "queue_solver", 0)
                     acct["drained_grants"] += est["drained_grants"]
                     acct["stepped_grants"] += est["stepped_grants"]
                     acct["engine_events"] += est["events"]
@@ -242,8 +238,6 @@ class ConventionalMachine:
                         self, step, cursor, cpu, bus)
                     acct["cohort_regions"] += 1
                     acct["closed_form_regions"] += est["closed_form"]
-                    acct["queue_solver_regions"] += est.get(
-                        "queue_solver", 0)
                     acct["drained_grants"] += est["drained_grants"]
                     acct["stepped_grants"] += est["stepped_grants"]
                     acct["engine_events"] += est["events"]

@@ -144,7 +144,6 @@ _SUMMED_STATS = (
     ("cohort_regions", "cohort_regions"),
     ("des_regions", "des_regions"),
     ("closed_form_regions", "closed_form_regions"),
-    ("queue_solver_regions", "queue_solver_regions"),
     ("cohort_drained_grants", "drained_grants"),
     ("cohort_stepped_grants", "stepped_grants"),
     ("region_wall_seconds", "region_wall_seconds"),

@@ -1,27 +1,28 @@
-"""Closed-form vs event-stepped work-queue regions.
+"""Work-queue regions: the cohort engine's code paths against each other.
 
-The fourth closed-form layer (the work-queue solver) folds every
-uncontended server's jobs into fixed-duration spans and computes the
-pull-from-queue completion frontier arithmetically, event-stepping
-only the (at most one) contended server.  Like the other layers it is
-an arithmetic shortcut, not a model change: for any bus-coupled
-work-queue region the engine accepts, the solver must reproduce the
-event-stepped timeline -- completion order, completion times,
-lock-wait statistics, server busy/served accounting -- to 1e-12
-relative.
+A multi-worker work-queue region event-steps on the shared two-server
+loop whatever the closed-form switch says; only a one-worker queue
+takes a closed-form shortcut (the single-member replay).  Two pairs of
+code paths must therefore reproduce the same timeline -- completion
+order, completion times, lock-wait statistics, server busy/served
+accounting -- to 1e-12 relative:
+
+* ``closed_form=True`` against ``closed_form=False`` (they differ
+  where the single-member replay takes over a one-worker queue);
+* the interpreted :class:`ScalarBatchServer` against the numpy
+  :class:`BatchServer` (``SCALAR_MAX_SLOTS = 0`` on one side only).
 
 Random region shapes (CPU lane uncontended by machine-geometry
 construction, bus drawn contended or not, lock-protected bus sections,
-pop-synchronization costs) drive both configurations of the same
-:class:`CohortEngine` and compare everything the machine models
-consume.  Demands are drawn on a coarse 1/8 grid so distinct values
-differ by far more than the engines' 1e-9 exactness envelope.
+pop-synchronization costs) drive both configurations and compare
+everything the machine models consume.  Demands are drawn on a coarse
+1/8 grid so distinct values differ by far more than the engines' 1e-9
+exactness envelope.
 """
 
 import os
 from collections import deque
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.des.batch as batch
@@ -32,7 +33,6 @@ from repro.des.batch import (
     SRV,
     CohortEngine,
     FORCE_CLOSED_FORM_ENV,
-    span_union_length,
 )
 
 RTOL = 1e-12
@@ -53,11 +53,10 @@ def queue_cases(draw):
     Server 0 is the CPU lane: uniform per-thread cap with capacity
     ``cap * k`` -- the exact geometry of ``n_cpus x clock`` machines,
     uncontended for any worker count.  Server 1 is the bus: drawn
-    either uncontended (``capacity >= k * cap``, the whole region goes
-    closed-form) or contended (the solver event-steps the bus and
-    folds only the CPU).  Queue items come from a small template pool
-    (real regions are homogeneous-ish), optionally with a
-    lock-protected bus section and a sleep.
+    either uncontended (``capacity >= k * cap``) or contended (its
+    fair share really changes with membership).  Queue items come from
+    a small template pool (real regions are homogeneous-ish),
+    optionally with a lock-protected bus section and a sleep.
     """
     k = draw(st.integers(min_value=1, max_value=4))
     cap_cpu = draw(st.sampled_from([2.0, 4.0, 8.0]))
@@ -95,21 +94,34 @@ def queue_cases(draw):
     return programs, items, [cap_cpu * k, capacity_bus]
 
 
-def run_queue_engine(programs, items, capacities, closed_form):
-    eng = CohortEngine(0.0, capacities,
-                       [list(p) for p in programs],
-                       own_sids=[0] * len(programs),
-                       queue=deque(list(i) for i in items),
-                       closed_form=closed_form)
-    end = eng.run()
+def run_queue_engine(programs, items, capacities, closed_form,
+                     vector=False):
+    """Run one work-queue region; ``vector`` forces every server onto
+    the numpy :class:`BatchServer`."""
+    saved = batch.SCALAR_MAX_SLOTS
+    if vector:
+        batch.SCALAR_MAX_SLOTS = 0
+    try:
+        eng = CohortEngine(0.0, capacities,
+                           [list(p) for p in programs],
+                           own_sids=[0] * len(programs),
+                           queue=deque(list(i) for i in items),
+                           closed_form=closed_form)
+        end = eng.run()
+    finally:
+        batch.SCALAR_MAX_SLOTS = saved
     return eng, end
 
 
-def assert_queue_engines_agree(programs, items, capacities):
-    fast, end_f = run_queue_engine(programs, items, capacities,
-                                   closed_form=True)
-    slow, end_s = run_queue_engine(programs, items, capacities,
-                                   closed_form=False)
+def assert_queue_engines_agree(programs, items, capacities,
+                               fast_cfg=None, slow_cfg=None):
+    """Run the region under two engine configurations (keyword
+    arguments of :func:`run_queue_engine`; by default closed form on
+    vs off) and assert they agree to ``RTOL``."""
+    fast_cfg = fast_cfg or {"closed_form": True}
+    slow_cfg = slow_cfg or {"closed_form": False}
+    fast, end_f = run_queue_engine(programs, items, capacities, **fast_cfg)
+    slow, end_s = run_queue_engine(programs, items, capacities, **slow_cfg)
     assert close(end_f, end_s), (end_f, end_s)
     assert len(fast.done_times) == len(slow.done_times)
     for tf, ts in zip(fast.done_times, slow.done_times):
@@ -136,26 +148,23 @@ def assert_queue_engines_agree(programs, items, capacities):
 
 @settings(max_examples=60, deadline=None)
 @given(queue_cases())
-def test_queue_solver_matches_event_stepped_scalar(case):
+def test_queue_closed_form_matches_event_stepped(case):
     programs, items, capacities = case
     assert_queue_engines_agree(programs, items, capacities)
 
 
 @settings(max_examples=40, deadline=None)
 @given(queue_cases())
-def test_queue_solver_matches_event_stepped_vector(case):
-    # force every server onto the numpy BatchServer
+def test_queue_scalar_server_matches_vector_server(case):
     programs, items, capacities = case
-    saved = batch.SCALAR_MAX_SLOTS
-    batch.SCALAR_MAX_SLOTS = 0
-    try:
-        assert_queue_engines_agree(programs, items, capacities)
-    finally:
-        batch.SCALAR_MAX_SLOTS = saved
+    assert_queue_engines_agree(
+        programs, items, capacities,
+        fast_cfg={"closed_form": False},
+        slow_cfg={"closed_form": False, "vector": True})
 
 
 # ----------------------------------------------------------------------
-# dispatch accounting
+# fixed shapes
 # ----------------------------------------------------------------------
 
 POP = [(SRV, 0, 1.0, 4.0)]
@@ -165,71 +174,31 @@ def items_of(n, segs):
     return [list(segs) for _ in range(n)]
 
 
-def test_contended_bus_uses_queue_solver():
-    # bus capacity 4 < 3 workers x cap 2: the bus stays event-stepped,
-    # the CPU lane folds
-    item = [(SRV, 0, 2.0, 4.0), (SRV, 1, 2.0, 2.0)]
-    fast, _ = run_queue_engine([list(POP)] * 3, items_of(8, item),
-                               [12.0, 4.0], closed_form=True)
-    assert fast.stats["queue_solver"] == 1
-    assert fast.stats["closed_form"] == 0
-    assert fast.stats["events"] > 0
-    assert_queue_engines_agree([list(POP)] * 3, items_of(8, item),
-                               [12.0, 4.0])
-
-
-def test_fully_uncontended_region_goes_closed_form():
-    # bus capacity 8 >= 3 workers x cap 2: both servers fold, no
-    # server events at all
-    item = [(SRV, 0, 2.0, 4.0), (SRV, 1, 2.0, 2.0)]
-    fast, _ = run_queue_engine([list(POP)] * 3, items_of(8, item),
-                               [12.0, 8.0], closed_form=True)
-    assert fast.stats["queue_solver"] == 1
-    assert fast.stats["closed_form"] == 1
-    assert_queue_engines_agree([list(POP)] * 3, items_of(8, item),
-                               [12.0, 8.0])
-
-
 def test_two_contended_servers_fall_back_to_stepping():
-    # both servers over-committed: no closed-form frontier exists and
-    # the solver must decline (byte-identity comes from the shared
-    # event-stepped path, so agreement still holds)
+    # both servers over-committed: every worker event-steps on the
+    # shared loop, so agreement comes from that one path
     item = [(SRV, 0, 2.0, 8.0), (SRV, 1, 2.0, 2.0)]
     fast, _ = run_queue_engine([list(POP)] * 3, items_of(6, item),
                                [8.0, 4.0], closed_form=True)
-    assert fast.stats["queue_solver"] == 0
+    assert fast.stats["closed_form"] == 0
+    assert fast.stats["events"] > 0
     assert_queue_engines_agree([list(POP)] * 3, items_of(6, item),
                                [8.0, 4.0])
-
-
-def test_queue_solver_honours_force_closed_form_gate(monkeypatch):
-    item = [(SRV, 0, 2.0, 4.0), (SRV, 1, 2.0, 2.0)]
-    monkeypatch.setenv(FORCE_CLOSED_FORM_ENV, "0")
-    eng, _ = run_queue_engine([list(POP)] * 3, items_of(4, item),
-                              [12.0, 8.0], closed_form=None)
-    assert eng.stats["queue_solver"] == 0
-    assert eng.stats["closed_form"] == 0
 
 
 def test_queue_wait_statistics_cross_engine():
     """Lock queue-wait statistics (waits, wait_time, depth histogram)
     must agree exactly when every grant order is forced, and to RTOL
-    on accumulated time."""
+    on accumulated time -- between the scalar and numpy servers."""
     item = [(SRV, 0, 1.0, 4.0), (ACQ, "L"), (SRV, 1, 3.0, 2.0),
             (REL, "L")]
     fast, slow = assert_queue_engines_agree(
-        [list(POP)] * 3, items_of(9, item), [12.0, 8.0])
+        [list(POP)] * 3, items_of(9, item), [12.0, 8.0],
+        fast_cfg={"closed_form": True},
+        slow_cfg={"closed_form": True, "vector": True})
     lf = fast.locks["L"]
     assert lf.waits > 0          # the case actually contends the lock
     assert lf.wait_time > 0.0
-
-
-def test_span_union_length():
-    assert span_union_length([]) == 0.0
-    assert span_union_length([(0.0, 2.0)]) == 2.0
-    # overlapping + disjoint + contained spans
-    spans = [(0.0, 2.0), (1.0, 3.0), (5.0, 6.0), (5.25, 5.5)]
-    assert span_union_length(spans) == pytest.approx(4.0, abs=1e-15)
 
 
 def test_closed_form_default_is_on():

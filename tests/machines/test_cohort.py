@@ -91,6 +91,33 @@ def test_property_work_queue_matches_des(n_threads, n_items, ops):
     assert coh.stats["cohort_regions"] == 1.0
 
 
+def test_contended_work_queue_matches_des():
+    # the registry's blocked-terrain shape: one worker per CPU (the CPU
+    # lane never saturates), more workers than the bus can feed at
+    # their per-CPU ceiling, and a shared merge lock that really queues
+    n_cpus = 8
+    spec = exemplar(n_cpus)
+    assert n_cpus * spec.per_cpu_mem_bandwidth \
+        > spec.mem.bandwidth_bytes_per_s
+    items = [
+        ThreadProgramBuilder(f"item{i}")
+        .compute("c", OpCounts(ialu=2e5 * (1 + i % 3), load=5e4),
+                 unique_bytes=2e5)
+        .critical("merge", "crit", OpCounts(store=2e3, sync=2.0),
+                  unique_bytes=5e4)
+        .build_work_item()
+        for i in range(24)]
+    job = JobBuilder("wq").work_queue(items, n_cpus).build()
+    des, coh = run_both(job, n_cpus=n_cpus)
+    assert_equivalent(des, coh)
+    assert coh.stats["cohort_regions"] == 1.0
+    assert coh.stats["closed_form_regions"] == 0.0
+    assert coh.stats["cohort_engine_events"] > 0
+    assert des.stats["des_regions"] == 1.0
+    assert des.stats["lock_acquisitions"] > 0
+    assert coh.stats["lock_acquisitions"] == des.stats["lock_acquisitions"]
+
+
 # ----------------------------------------------------------------------
 # routing: what must stay on the DES path
 # ----------------------------------------------------------------------
