@@ -37,6 +37,7 @@ from repro.c3i.terrain.workload import (
     blocked_benchmark_job,
     blocked_memory_footprint,
     finegrained_benchmark_job,
+    rethread_blocked_job,
     sequential_benchmark_job,
 )
 
@@ -58,6 +59,7 @@ __all__ = [
     "generate_terrain",
     "make_scenario",
     "masking_for_threat",
+    "rethread_blocked_job",
     "ring_offsets",
     "run_blocked",
     "run_finegrained",

@@ -25,6 +25,7 @@ Job shapes:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Sequence
 
 from repro.workload import (
@@ -171,58 +172,85 @@ def sequential_benchmark_job(
     return Job("terrain-sequential", tuple(steps))
 
 
+def blocked_work_items(scenario: TerrainScenario,
+                       result: BlockedResult) -> tuple[WorkItem, ...]:
+    """Program 4's queue for one scenario: one item per threat."""
+    f = scenario.extrapolation_factor
+    items = []
+    for t_idx, (cells, ring_cells, blocks) in enumerate(
+            result.per_threat_blocks):
+        region = _region_bytes(cells * f)
+        # reset/propagate touch only the worker-private temp array
+        # (the paper's per-thread storage), so they carry no shared
+        # accesses; the merges min into the shared masking array at
+        # block granularity under the per-block locks.
+        work = [
+            Compute(make_phase(
+                f"t{scenario.index}-th{t_idx}-reset",
+                OPS_PER_RESET_CELL * (cells * f),
+                unique_bytes=cells * f * ELEV_BYTES,
+                pattern=AccessPattern.SEQUENTIAL,
+                access_bytes=ELEV_BYTES)),
+            Compute(make_phase(
+                f"t{scenario.index}-th{t_idx}-propagate",
+                OPS_PER_RING_CELL * (ring_cells * f),
+                unique_bytes=region,
+                pattern=AccessPattern.STRIDED,
+                access_bytes=ELEV_BYTES,
+                accesses=(read_of("terrain"),))),
+        ]
+        for bid, overlap_cells in blocks:
+            work.append(Critical(
+                f"t{scenario.index}-block{bid}",
+                make_phase(
+                    f"t{scenario.index}-th{t_idx}-merge-b{bid}",
+                    OPS_PER_MERGE_CELL * (overlap_cells * f),
+                    unique_bytes=overlap_cells * f * ELEV_BYTES * 2,
+                    pattern=AccessPattern.SEQUENTIAL,
+                    access_bytes=ELEV_BYTES,
+                    shared_fraction=0.2,
+                    accesses=(read_of("masking", bid, bid),
+                              write_of("masking", bid, bid)))))
+        items.append(WorkItem(f"t{scenario.index}-threat{t_idx}",
+                              tuple(work)))
+    return tuple(items)
+
+
 def blocked_benchmark_job(
         scenarios: Sequence[TerrainScenario],
         results: Sequence[BlockedResult],
+        n_threads: int,
         thread_kind: str = "os") -> Job:
     """Program 4: dynamic threat queue, per-thread temp, block locks."""
     steps = []
-    n_threads = results[0].n_threads
     for scenario, result in zip(scenarios, results):
         f = scenario.extrapolation_factor
         steps.append(SerialStep(_setup_phase(scenario)))
         steps.append(SerialStep(_init_phase(scenario, f)))
-        items = []
-        for t_idx, (cells, ring_cells, blocks) in enumerate(
-                result.per_threat_blocks):
-            region = _region_bytes(cells * f)
-            # reset/propagate touch only the worker-private temp array
-            # (the paper's per-thread storage), so they carry no shared
-            # accesses; the merges min into the shared masking array at
-            # block granularity under the per-block locks.
-            work = [
-                Compute(make_phase(
-                    f"t{scenario.index}-th{t_idx}-reset",
-                    OPS_PER_RESET_CELL * (cells * f),
-                    unique_bytes=cells * f * ELEV_BYTES,
-                    pattern=AccessPattern.SEQUENTIAL,
-                    access_bytes=ELEV_BYTES)),
-                Compute(make_phase(
-                    f"t{scenario.index}-th{t_idx}-propagate",
-                    OPS_PER_RING_CELL * (ring_cells * f),
-                    unique_bytes=region,
-                    pattern=AccessPattern.STRIDED,
-                    access_bytes=ELEV_BYTES,
-                    accesses=(read_of("terrain"),))),
-            ]
-            for bid, overlap_cells in blocks:
-                work.append(Critical(
-                    f"t{scenario.index}-block{bid}",
-                    make_phase(
-                        f"t{scenario.index}-th{t_idx}-merge-b{bid}",
-                        OPS_PER_MERGE_CELL * (overlap_cells * f),
-                        unique_bytes=overlap_cells * f * ELEV_BYTES * 2,
-                        pattern=AccessPattern.SEQUENTIAL,
-                        access_bytes=ELEV_BYTES,
-                        shared_fraction=0.2,
-                        accesses=(read_of("masking", bid, bid),
-                                  write_of("masking", bid, bid)))))
-            items.append(WorkItem(f"t{scenario.index}-threat{t_idx}",
-                                  tuple(work)))
-        steps.append(WorkQueueRegion(tuple(items), n_threads=n_threads,
+        steps.append(WorkQueueRegion(blocked_work_items(scenario, result),
+                                     n_threads=n_threads,
                                      thread_kind=thread_kind))
         steps.append(SerialStep(_output_phase(scenario, result, f)))
     return Job(f"terrain-blocked-{n_threads}t", tuple(steps))
+
+
+def rethread_blocked_job(job: Job, n_threads: int,
+                         thread_kind: str = "os") -> Job:
+    """``job`` (a :func:`blocked_benchmark_job`) over another worker
+    pool.
+
+    Neither the kernel run nor the work items depend on the pool: the
+    queue is walked in threat order whatever ``n_threads`` is.  So the
+    result shares every serial step and ``WorkItem`` tuple with
+    ``job`` (the job tree is frozen); only the queue regions and the
+    name are new, and the job equals a fresh build at ``n_threads``.
+    """
+    steps = tuple(
+        dataclasses.replace(step, n_threads=n_threads,
+                            thread_kind=thread_kind)
+        if isinstance(step, WorkQueueRegion) else step
+        for step in job.steps)
+    return Job(f"terrain-blocked-{n_threads}t", steps)
 
 
 def finegrained_benchmark_job(

@@ -207,10 +207,8 @@ def threat_alternative(data: BenchmarkData) -> ExperimentResult:
     nearly free; on an SMP 1000 OS threads and a hot lock are a
     disaster.
     """
-    from repro.c3i import threat as TH
     # the real thing: one thread per threat, no coalescing
-    fg_job = TH.finegrained_benchmark_job(
-        data.threat_scenarios, data.threat_sequential, max_threads=None)
+    fg_job = data.threat_finegrained_all_job()
     ch_job = data.threat_chunked_job(256, thread_kind="hw")
     mta_fg1 = data.run_mta(1, fg_job)
     mta_fg2 = data.run_mta(2, fg_job)

@@ -257,7 +257,7 @@ def _cell_weight(recipe: str, spec) -> int:
     Only the *ordering* of cell submissions depends on this, never a
     result, so a rough static estimate is enough.
     """
-    if recipe.endswith("-fg"):
+    if recipe.endswith(("-fg", "-fg-all")):
         base = 1000
     elif recipe.startswith("tb-"):
         base = taskbench.recipe_weight(recipe)  # total grain units

@@ -112,10 +112,12 @@ class BenchmarkData:
         return self._memo("te-fg", lambda: [
             TE.run_finegrained(s) for s in self.terrain_scenarios])
 
-    def terrain_blocked(self, n_threads: int):
-        return self._memo(f"te-bl-{n_threads}", lambda: [
-            TE.run_blocked(s, n_threads=n_threads)
-            for s in self.terrain_scenarios])
+    @property
+    def terrain_blocked(self):
+        """Program 4's kernel runs.  Threats are walked in queue order
+        whatever the worker count, so one run serves every count."""
+        return self._memo("te-bl", lambda: [
+            TE.run_blocked(s) for s in self.terrain_scenarios])
 
     # ------------------------------------------------------------------
     # jobs (step 2)
@@ -136,17 +138,28 @@ class BenchmarkData:
         return self._job("th-job-fg", lambda: TH.finegrained_benchmark_job(
             self.threat_scenarios, self.threat_sequential))
 
+    def threat_finegrained_all_job(self) -> Job:
+        """The sync-variable variant with one thread per threat (no
+        coalescing): Section 5's 5000-thread alternative."""
+        return self._job(
+            "th-job-fg-all", lambda: TH.finegrained_benchmark_job(
+                self.threat_scenarios, self.threat_sequential,
+                max_threads=None))
+
     def terrain_sequential_job(self) -> Job:
         return self._job("te-job-seq", lambda: TE.sequential_benchmark_job(
             self.terrain_scenarios, self.terrain_sequential))
 
     def terrain_blocked_job(self, n_threads: int,
                             thread_kind: str = "os") -> Job:
+        """Program 4 over ``n_threads`` workers.  Every count and kind
+        shares one universe-wide build's steps and work items; only
+        the queue regions and the job name differ."""
+        base = self._memo("te-job-bl", lambda: TE.blocked_benchmark_job(
+            self.terrain_scenarios, self.terrain_blocked, n_threads=1))
         return self._job(
             f"te-job-bl-{n_threads}-{thread_kind}",
-            lambda: TE.blocked_benchmark_job(
-                self.terrain_scenarios, self.terrain_blocked(n_threads),
-                thread_kind=thread_kind))
+            lambda: TE.rethread_blocked_job(base, n_threads, thread_kind))
 
     def terrain_finegrained_job(self) -> Job:
         return self._job("te-job-fg", lambda: TE.finegrained_benchmark_job(
@@ -171,6 +184,8 @@ class BenchmarkData:
             return self.threat_sequential_job()
         if key == "th-job-fg":
             return self.threat_finegrained_job()
+        if key == "th-job-fg-all":
+            return self.threat_finegrained_all_job()
         if key == "te-job-seq":
             return self.terrain_sequential_job()
         if key == "te-job-fg":

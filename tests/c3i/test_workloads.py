@@ -145,7 +145,7 @@ def test_terrain_sequential_job_footprint_exceeds_caches(terrain_data):
 def test_terrain_blocked_job_structure(terrain_data):
     scs, _seq = terrain_data
     blocked = [TE.run_blocked(s, n_threads=4) for s in scs]
-    job = TE.blocked_benchmark_job(scs, blocked)
+    job = TE.blocked_benchmark_job(scs, blocked, n_threads=4)
     queues = [s for s in job.steps if isinstance(s, WorkQueueRegion)]
     assert len(queues) == len(scs)
     for q, sc in zip(queues, scs):
@@ -159,13 +159,46 @@ def test_terrain_blocked_job_structure(terrain_data):
     assert all("block" in lk for lk in locks)
 
 
+def test_run_blocked_is_independent_of_thread_count(terrain_data):
+    """Program 4 walks its threat queue in order whatever the worker
+    count, so one kernel run serves every count."""
+    scs, _seq = terrain_data
+    for sc in scs:
+        ref, *others = [TE.run_blocked(sc, n_threads=n)
+                        for n in (1, 4, 16)]
+        for res in others:
+            assert res.masking.tobytes() == ref.masking.tobytes()
+            assert res.per_threat_blocks == ref.per_threat_blocks
+            assert res.n_lock_acquisitions == ref.n_lock_acquisitions
+            assert res.n_rings_total == ref.n_rings_total
+            assert res.ring_cells_total == ref.ring_cells_total
+
+
+def test_rethread_blocked_job_equals_fresh_build(terrain_data):
+    scs, _seq = terrain_data
+    blocked = [TE.run_blocked(s) for s in scs]
+    base = TE.blocked_benchmark_job(scs, blocked, n_threads=1)
+    for n, kind in ((1, "os"), (4, "os"), (16, "sw")):
+        job = TE.rethread_blocked_job(base, n, kind)
+        assert job == TE.blocked_benchmark_job(scs, blocked, n, kind)
+        assert job.name == f"terrain-blocked-{n}t"
+        # every step but the queue regions, and every queue's items,
+        # are the base job's own objects
+        for step, base_step in zip(job.steps, base.steps):
+            if isinstance(step, WorkQueueRegion):
+                assert (step.n_threads, step.thread_kind) == (n, kind)
+                assert step.items is base_step.items
+            else:
+                assert step is base_step
+
+
 def test_terrain_blocked_reset_cheaper_than_seq_copy(terrain_data):
     """The temp/masking role swap: the blocked variant's private reset
     pass touches less memory than the sequential copy pass."""
     scs, seq = terrain_data
     blocked = [TE.run_blocked(s, n_threads=1) for s in scs]
     seq_job = TE.sequential_benchmark_job(scs, seq)
-    bl_job = TE.blocked_benchmark_job(scs, blocked)
+    bl_job = TE.blocked_benchmark_job(scs, blocked, n_threads=1)
     # compare only non-propagate mem ops (copy+merge vs reset+merge)
     def aux_mem(job):
         total = 0.0
@@ -217,7 +250,7 @@ def test_terrain_jobs_conserve_propagation_work(terrain_data):
         return total
 
     a = propagate_ops(TE.sequential_benchmark_job(scs, seq))
-    b = propagate_ops(TE.blocked_benchmark_job(scs, blocked))
+    b = propagate_ops(TE.blocked_benchmark_job(scs, blocked, n_threads=8))
     c = propagate_ops(TE.finegrained_benchmark_job(scs, fine))
     assert a == pytest.approx(b, rel=1e-9)
     assert a == pytest.approx(c, rel=1e-9)

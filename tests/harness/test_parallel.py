@@ -61,3 +61,25 @@ def test_profile_charges_cells_to_first_planner(cache_dir):
     assert [p.cache_misses for p in parallel] == \
         [p.cache_misses for p in serial]
     assert all(p.cache_misses > 0 for p in parallel)
+
+
+def test_threat_alternative_plans_only_transportable_cells():
+    """Its 5000-thread sync-variable job is a named recipe, so every
+    cell it simulates can run in a pool worker."""
+    from repro.harness.parallel import _plan_one, _PlanningData
+
+    plan = _plan_one("threat-alternative", _PlanningData(**SCALES))
+    cells = plan["cells"].values()
+    assert cells and all(c is not None and c["job_recipe"] for c in cells)
+    assert sum(c["job_recipe"] == "th-job-fg-all" for c in cells) == 3
+
+
+def test_threat_alternative_parallel_matches_serial(monkeypatch):
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    rendered = []
+    for jobs in (1, 2):
+        results, _ = run_experiments(["threat-alternative"], jobs=jobs,
+                                     data=BenchmarkData(**SCALES),
+                                     **SCALES)
+        rendered.append(results["threat-alternative"].render())
+    assert rendered[1] == rendered[0]
