@@ -16,7 +16,7 @@ generator-based process model:
   is the primitive used to model both shared memory buses and the Tera
   MTA's instruction-issue slots.
 * :mod:`~repro.des.sync` -- locks, barriers, semaphores.
-* :mod:`~repro.des.batch` -- vectorized replay of homogeneous thread
+* :mod:`~repro.des.batch` -- batch replay of homogeneous thread
   cohorts (the machines' fast path around per-thread processes).
 * :mod:`~repro.des.store` -- FIFO item stores (work queues).
 * :mod:`~repro.des.monitor` -- time-series instrumentation.
@@ -26,7 +26,7 @@ nothing in the kernel consults a random source, so a simulation is a
 pure function of its inputs.
 """
 
-from repro.des.batch import BatchServer, CohortEngine
+from repro.des.batch import CohortEngine
 from repro.des.errors import (DeadlockDiagnostic, DesError, Interrupt,
                               SimulationDeadlock)
 from repro.des.events import AllOf, AnyOf, Event, Timeout, WaitEvent
@@ -40,7 +40,6 @@ from repro.des.monitor import Monitor, TimeSeries
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BatchServer",
     "CohortEngine",
     "DeadlockDiagnostic",
     "DesError",

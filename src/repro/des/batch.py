@@ -1,4 +1,4 @@
-"""Vectorized batch execution of homogeneous thread cohorts.
+"""Batch execution of homogeneous thread cohorts.
 
 The DES path simulates every thread of a parallel region as its own
 generator process; each fair-share reallocation is an O(n) Python scan
@@ -8,18 +8,14 @@ thread synchronization except the region barrier and per-item critical
 sections) -- the same timeline can be replayed with flat per-thread
 state and no processes, events, or callbacks at all:
 
-* A batch server mirrors one
+* :class:`ScalarBatchServer` mirrors one
   :class:`~repro.des.resources.FairShareServer` with at most one job
   per thread slot, advancing remaining work lazily (only when the
   server is touched, like the DES server's flush/wakeup chunking) and
-  caching its next completion time.  Small cohorts use
-  :class:`ScalarBatchServer`, which reproduces the DES allocation
-  arithmetic verbatim in Python; large cohorts use
-  :class:`BatchServer`, which holds remaining work in numpy arrays so
-  a reallocation costs a few vector operations instead of an O(n)
-  interpreted scan.  The completion rule (batch every job within
-  ``1e-9`` relative of the minimum remaining work) is the DES server's
-  rule in both.
+  caching its next completion time.  It reproduces the DES allocation
+  arithmetic in plain Python, and its completion rule (batch every job
+  within ``1e-9`` relative of the minimum remaining work) is the DES
+  server's rule.
 
 * :class:`CohortEngine` owns the region's servers, sleep timers and
   locks and drives per-thread *segment lists* -- a precompiled form of
@@ -51,7 +47,7 @@ disabled together by ``REPRO_FORCE_CLOSED_FORM=0``):
 * **Single-class regions** -- a region whose threads collapse to one
   class and whose program is serve/sleep segments plus at most one
   trailing critical section is scheduled entirely in closed form by
-  :meth:`CohortEngine._run_single_class`: water-filled fair-share
+  :meth:`CohortEngine._run_single_class`: equal-share fair-share
   spans for the lockstep prefix, then a serialized convoy whose
   completion-time array is ``t1 + arange(1, n+1) * delta``, with the
   lock-wait statistics (``waits``, ``wait_time``, depth histogram)
@@ -66,7 +62,7 @@ shifts completion times by ulps -- enough to flip an exact
 release/acquire tie and change the integer lock statistics.
 
 Equivalence with the DES path is *numerical*, not bit-for-bit: the
-vectorized allocation follows the same formulas but groups float
+batch allocation follows the same formulas but groups float
 operations differently (e.g. one ``capacity/n`` division instead of a
 sequential water-fill chain, or ``k * delta`` instead of ``k`` chained
 additions), so event times can differ by a few ulps.  Those
@@ -90,11 +86,6 @@ from repro.des.errors import DesError
 #: completion tolerance -- must match ``repro.des.resources._EPS``
 _EPS = 1e-9
 _INF = float("inf")
-
-#: cohorts up to this many *entities* (classes, after compression) run
-#: on the interpreted scalar server; beyond it the numpy server's fixed
-#: per-operation overhead is amortized over enough slots to win
-SCALAR_MAX_SLOTS = 96
 
 #: Environment escape hatch mirroring ``REPRO_NO_COHORT``: set to "0"
 #: to disable the closed-form layers (class compression, convoy-drain
@@ -148,7 +139,7 @@ def convoy_schedule(start: float, n: int, delta: float) -> np.ndarray:
 
 
 class ScalarBatchServer:
-    """Interpreted mirror of one fair-share server for a small cohort.
+    """Interpreted mirror of one fair-share server for a cohort.
 
     Jobs live in a dict keyed by thread slot (insertion-ordered, like
     ``FairShareServer._jobs``); the allocation, advance and completion
@@ -175,7 +166,7 @@ class ScalarBatchServer:
                  "_jobs", "_last", "_dirty", "_urate", "_cap0",
                  "_capsok", "_m")
 
-    def __init__(self, capacity: float, n_slots: int, start: float):
+    def __init__(self, capacity: float, start: float):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = float(capacity)
@@ -191,10 +182,6 @@ class ScalarBatchServer:
         self._cap0: Optional[float] = None  # first cap since last empty
         self._capsok = True      # every live cap equals _cap0
         self._m: Optional[float] = None  # min remaining at _last
-
-    @property
-    def has_pending(self) -> bool:
-        return False
 
     def add(self, slot: int, demand: float, cap: Optional[float],
             seq: int, now: float, weight: int = 1) -> None:
@@ -340,6 +327,21 @@ class ScalarBatchServer:
             self._m = None
             return
         capacity = self.capacity
+        if not self._capsok:
+            groups: dict[float, list] = {}
+            for job in jobs.values():
+                grp = groups.get(job[1])
+                if grp is None:
+                    groups[job[1]] = [job]
+                else:
+                    grp.append(job)
+            if len(groups) == 1:
+                # the last differing cap has left: rejoin the uniform
+                # lane, as FairShareServer._allocate re-checks
+                # uniformity on every pass
+                (self._cap0,) = groups
+                self._capsok = True
+                self._m = None
         if self._capsok:
             # uniform-cap lane: one shared rate, O(1) given the
             # incrementally-maintained minimum
@@ -361,13 +363,6 @@ class ScalarBatchServer:
             return
         self._urate = 0.0
         self._m = None
-        groups: dict[float, list] = {}
-        for job in jobs.values():
-            grp = groups.get(job[1])
-            if grp is None:
-                groups[job[1]] = [job]
-            else:
-                grp.append(job)
         left = capacity
         n_left = self.n
         delay = _INF
@@ -405,305 +400,6 @@ class ScalarBatchServer:
         self._last = t_end
         self._m = None
         self._dirty = True
-
-
-def _water_fill(caps: np.ndarray, capacity: float,
-                weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """Water-filling allocation over heterogeneous per-job caps.
-
-    Same fill order as ``FairShareServer._allocate``: distinct caps
-    ascending.  A whole group is either capped (each job gets exactly
-    its cap) or share-limited; in the share-limited regime every
-    remaining job receives the equal split of the leftover capacity,
-    which matches the DES sequential chain up to float rounding.
-    ``weights`` (member multiplicities) scale the divisor and the
-    capacity consumed by capped groups.
-    """
-    order = np.argsort(caps, kind="stable")
-    sorted_caps = caps[order]
-    rates = np.empty_like(caps)
-    left = capacity
-    if weights is None:
-        wsorted = None
-        n_left = caps.size
-    else:
-        wsorted = weights[order]
-        n_left = int(wsorted.sum())
-    uniq, counts = np.unique(sorted_caps, return_counts=True)
-    start = 0
-    for c, k in zip(uniq, counts):
-        share = left / n_left
-        if c <= share:
-            k = int(k)
-            rates[order[start:start + k]] = c
-            nmem = k if wsorted is None else int(wsorted[start:start + k].sum())
-            left -= c * nmem
-            n_left -= nmem
-            start += k
-        else:
-            rates[order[start:]] = share
-            break
-    return rates
-
-
-class BatchServer:
-    """Numpy mirror of one fair-share server for a large cohort.
-
-    Slots are thread ids; a thread has at most one job on a given
-    server at a time (the thread programs the machines generate always
-    block on a submission before issuing the next one to the same
-    server).  Submissions are buffered and applied vectorized at the
-    next :meth:`flush` -- all adds between flushes happen at the same
-    event time, so deferring them changes nothing.  Jobs carry member
-    weights exactly like :class:`ScalarBatchServer`.
-
-    When every active job gets the same rate (uniform caps, or all
-    share-limited -- by far the common regimes) the server runs a
-    scalar-rate lane that advances remaining work with one vector
-    subtraction per event *and keeps the arrays sorted by remaining
-    work*: under one shared rate the ordering is invariant, so the
-    completion batch is a prefix of the sorted arrays -- a sorted
-    finish-time frontier found by binary search and removed by
-    slicing, instead of a full-array compare/compress per event.
-    """
-
-    __slots__ = ("capacity", "n", "due", "busy_time", "total_served",
-                 "_slots", "_rem", "_caps", "_seq", "_w", "_rates",
-                 "_rate", "_mincap", "_last", "_dirty", "_pend",
-                 "_wlive", "_sorted")
-
-    def __init__(self, capacity: float, n_slots: int, start: float):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = float(capacity)
-        self.n = 0
-        self.due = _INF
-        self.busy_time = 0.0
-        self.total_served = 0.0
-        # compact, membership-aligned arrays (only live jobs)
-        self._slots: Optional[np.ndarray] = None
-        self._rem: Optional[np.ndarray] = None
-        self._caps: Optional[np.ndarray] = None
-        self._seq: Optional[np.ndarray] = None
-        self._w: Optional[np.ndarray] = None
-        self._rates: Optional[np.ndarray] = None   # heterogeneous lane
-        self._rate = 0.0                           # scalar lane
-        self._mincap = _INF     # lower bound on every cap ever submitted
-        self._last = start
-        self._dirty = False
-        self._pend: list[tuple[int, float, float, int, int]] = []
-        self._wlive = 0         # live members already merged into arrays
-        self._sorted = False    # arrays ascending by remaining work
-
-    @property
-    def has_pending(self) -> bool:
-        return bool(self._pend)
-
-    def add(self, slot: int, demand: float, cap: Optional[float],
-            seq: int, now: float, weight: int = 1) -> None:
-        # `now` is always the engine's current event time; the buffered
-        # submission takes effect at the flush closing this event.
-        c = cap if cap is not None else _INF
-        if c < self._mincap:
-            self._mincap = c
-        self._pend.append((slot, demand, c, seq, weight))
-        self.n += weight
-        self._dirty = True
-
-    def sync(self, now: float) -> None:
-        """Advance lazily-stored remaining work to ``now``."""
-        self._advance_to(now)
-
-    def _advance_to(self, now: float) -> None:
-        dt = now - self._last
-        self._last = now
-        rem = self._rem
-        if dt <= 0 or rem is None or rem.size == 0:
-            return
-        rate = self._rate
-        if rate:
-            rem -= rate * dt
-            self.total_served += rate * dt * self._wlive
-        else:
-            served = self._rates * dt
-            rem -= served
-            self.total_served += float((served * self._w).sum())
-        self.busy_time += dt
-
-    def finish(self, now: float) -> list[tuple[int, int]]:
-        """Completed ``(arrival_seq, slot)`` pairs at time ``now``.
-
-        Applies the DES completion batching rule: every job whose
-        remaining work is within 1e-9 relative of the minimum (floored
-        at 1e-9 absolute) finishes together.
-        """
-        # advance inlined: finish is called once per completion event
-        dt = now - self._last
-        self._last = now
-        rem = self._rem
-        if dt > 0:
-            rate = self._rate
-            if rate:
-                rem -= rate * dt
-                self.total_served += rate * dt * self._wlive
-            else:
-                served = self._rates * dt
-                rem -= served
-                self.total_served += float((served * self._w).sum())
-            self.busy_time += dt
-        self._dirty = True
-        if self._sorted:
-            # sorted finish-time frontier: the batch is a prefix of
-            # the remaining-work order, found by binary search
-            threshold = float(rem[0]) * (1.0 + _EPS)
-            if threshold < _EPS:
-                threshold = _EPS
-            k = int(np.searchsorted(rem, threshold, side="right"))
-            out = list(zip(self._seq[:k].tolist(),
-                           self._slots[:k].tolist()))
-            w_out = int(self._w[:k].sum())
-            self._slots = self._slots[k:]
-            self._rem = rem[k:]
-            if self._caps is not None:
-                self._caps = self._caps[k:]
-            self._seq = self._seq[k:]
-            self._w = self._w[k:]
-            self.n -= w_out
-            self._wlive -= w_out
-            return out
-        threshold = float(rem.min()) * (1.0 + _EPS)
-        if threshold < _EPS:
-            threshold = _EPS
-        mask = rem <= threshold
-        out = list(zip(self._seq[mask].tolist(),
-                       self._slots[mask].tolist()))
-        w_out = int(self._w[mask].sum())
-        keep = ~mask
-        self._slots = self._slots[keep]
-        self._rem = rem[keep]
-        if self._caps is not None:
-            self._caps = self._caps[keep]
-        self._seq = self._seq[keep]
-        self._w = self._w[keep]
-        self.n -= w_out
-        self._wlive -= w_out
-        return out
-
-    def flush(self, now: float) -> None:
-        """Apply buffered submissions and recompute rates and the next
-        completion time if stale."""
-        if not self._dirty:
-            return
-        self._dirty = False
-        self._advance_to(now)
-        pend = self._pend
-        if pend:
-            slots = np.array([p[0] for p in pend], dtype=np.int64)
-            dem = np.array([p[1] for p in pend])
-            # an entirely uncapped server (e.g. the network) never
-            # materializes a caps array at all
-            caps = (np.array([p[2] for p in pend])
-                    if self._mincap < _INF else None)
-            seqs = np.array([p[3] for p in pend], dtype=np.int64)
-            ws = np.array([p[4] for p in pend], dtype=np.int64)
-            self._wlive += int(ws.sum())
-            pend.clear()
-            self._sorted = False
-            if self._rem is None or self._rem.size == 0:
-                self._slots, self._rem = slots, dem
-                self._caps, self._seq, self._w = caps, seqs, ws
-            else:
-                if caps is not None:
-                    old = (self._caps if self._caps is not None
-                           else np.full(self._rem.size, _INF))
-                    self._caps = np.concatenate((old, caps))
-                self._slots = np.concatenate((self._slots, slots))
-                self._rem = np.concatenate((self._rem, dem))
-                self._seq = np.concatenate((self._seq, seqs))
-                self._w = np.concatenate((self._w, ws))
-        rem = self._rem
-        k = 0 if rem is None else rem.size
-        if k == 0:
-            self.due = _INF
-            self._slots = self._rem = self._caps = self._seq = None
-            self._w = self._rates = None
-            self._rate = 0.0
-            self._wlive = 0
-            self._sorted = False
-            return
-        capacity = self.capacity
-        share = capacity / self.n
-        if self._mincap >= share:
-            # every job is share-limited: equal split, which is what
-            # the FairShareServer water-fill computes sequentially
-            self._rate = share
-            self._rates = None
-        else:
-            caps = self._caps
-            cmin = float(caps.min())
-            if cmin >= share:
-                self._rate = share
-                self._rates = None
-            else:
-                cmax = float(caps.max())
-                if cmin == cmax:
-                    # uniform caps below the fair share: everyone capped
-                    self._rate = cmin
-                    self._rates = None
-                elif float((caps * self._w).sum()) <= capacity:
-                    # no job is share-limited: everyone runs at its cap
-                    self._rate = 0.0
-                    self._rates = caps
-                else:
-                    self._rate = 0.0
-                    self._rates = _water_fill(caps, capacity, self._w)
-        if self._rate:
-            if not self._sorted:
-                order = np.argsort(rem, kind="stable")
-                self._slots = self._slots[order]
-                self._rem = rem = rem[order]
-                if self._caps is not None:
-                    self._caps = self._caps[order]
-                self._seq = self._seq[order]
-                self._w = self._w[order]
-                self._sorted = True
-            delay = float(rem[0]) / self._rate
-        else:
-            self._sorted = False
-            delay = float((rem / self._rates).min())
-        if delay < 0.0:
-            delay = 0.0
-        self.due = self._last + delay
-
-    # -- convoy-drain replication hooks --------------------------------
-    def drain_state(self) -> tuple[dict[int, float], float, float]:
-        """Per-slot remaining work plus accumulators, at ``_last``."""
-        jobs: dict[int, float] = {}
-        if self._rem is not None:
-            for slot, r in zip(self._slots.tolist(), self._rem.tolist()):
-                jobs[slot] = r
-        return jobs, self.busy_time, self.total_served
-
-    def drain_apply(self, k: int, decs: dict[int, float],
-                    busy_dec: float, served_dec: float,
-                    t_end: float) -> None:
-        """Replay ``k`` measured critical-section passes arithmetically."""
-        if decs and self._rem is not None:
-            index = {s: i for i, s in enumerate(self._slots.tolist())}
-            for slot, dec in decs.items():
-                self._rem[index[slot]] -= k * dec
-        self.busy_time += k * busy_dec
-        self.total_served += k * served_dec
-        self._last = t_end
-        self._sorted = False
-        self._dirty = True
-
-
-def make_server(capacity: float, n_slots: int, start: float):
-    """The batch-server implementation appropriate for a cohort size."""
-    if n_slots <= SCALAR_MAX_SLOTS:
-        return ScalarBatchServer(capacity, n_slots, start)
-    return BatchServer(capacity, n_slots, start)
 
 
 class _Thread:
@@ -816,8 +512,7 @@ class CohortEngine:
                 for i, segs in enumerate(programs)
             ]
         self.threads = threads
-        self.servers = [make_server(c, len(threads), self.now)
-                        for c in capacities]
+        self.servers = [ScalarBatchServer(c, self.now) for c in capacities]
         self.timers: list[tuple[float, int, int]] = []
         self.locks: dict[str, _LockState] = {}
         self.n_done = 0
@@ -1384,12 +1079,8 @@ class CohortEngine:
         """Start measuring the new holder's pass for replication."""
         if not self._convoy_tail_ok(segs, idx):
             return
-        servers = self.servers
-        for s in servers:
-            if s.has_pending:
-                return
         snaps = []
-        for s in servers:
+        for s in self.servers:
             s.sync(now)
             snaps.append(s.drain_state())
         name = next(k for k, v in self.locks.items() if v is lk)
@@ -1415,8 +1106,7 @@ class CohortEngine:
         identical members, bounded by the event horizon.
 
         Runs after the current event's flushes: every server's state
-        is settled at ``self.now`` and no submissions are pending.  A
-        pass takes ``delta`` seconds and decrements each live job's
+        is settled at ``self.now``.  A pass takes ``delta`` seconds and decrements each live job's
         remaining work by the measured per-pass amount, so ``k``
         passes replay as one multiply-accumulate provided no job
         completes and no timer fires before ``now + k * delta``.

@@ -5,9 +5,8 @@ plus the shared network server.  For homogeneous regions whose phases
 carry no internal parallelism (one stream per thread), the per-slice
 ``AllOf(issue, network)`` pattern compiles to :data:`~repro.des.batch.PAR`
 segments and the whole region replays on a :class:`CohortEngine`:
-one :class:`~repro.des.batch.BatchServer` per processor (heterogeneous
-per-stream caps, water-filled) and one for the network (uncapped
-equal-share).
+one batch server per processor (per-stream caps) and one for the
+network (uncapped equal-share).
 
 Serial steps -- including the fine-grained phases with
 ``parallelism > 1`` that spread issue demand over every processor --

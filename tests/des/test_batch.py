@@ -1,10 +1,10 @@
 """Unit and property tests for the cohort batch engine.
 
-The contract under test: the batch servers and :class:`CohortEngine`
+The contract under test: the batch server and :class:`CohortEngine`
 reproduce, job for job, the timeline the slice-interleaved DES path
-computes with one generator process per thread.  Scalar and vector
-server implementations must agree with each other (and with a live
-``FairShareServer``) to within the DES completion tolerance.
+computes with one generator process per thread.  The batch server must
+agree with a live ``FairShareServer`` to within the DES completion
+tolerance.
 """
 
 import math
@@ -19,10 +19,8 @@ from repro.des.batch import (
     REL,
     SLEEP,
     SRV,
-    BatchServer,
     CohortEngine,
     ScalarBatchServer,
-    _water_fill,
     serve_alone,
 )
 
@@ -104,7 +102,7 @@ def test_serve_batch_rejects_bad_input():
 
 
 # ----------------------------------------------------------------------
-# scalar vs vector batch server consistency
+# batch server against the live DES server
 # ----------------------------------------------------------------------
 
 def drain(server, jobs, start=0.0):
@@ -125,58 +123,79 @@ def drain(server, jobs, start=0.0):
     return out
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    st.lists(
+def drain_des(capacity, jobs):
+    """Submit ``jobs`` together to a live :class:`FairShareServer` at
+    t=0 and run to completion; returns ``(completions, server)`` with
+    ``completions`` the ``(time, slot)`` pairs in completion order."""
+    sim = Simulator()
+    srv = FairShareServer(sim, capacity=capacity)
+    done = []
+
+    def waiter(sim, slot, ev):
+        yield ev
+        done.append((sim.now, slot))
+
+    def submitter(sim):
+        for slot, (demand, cap) in enumerate(jobs):
+            sim.process(waiter(sim, slot, srv.submit(demand, cap=cap)))
+        return
+        yield  # pragma: no cover - generator marker
+
+    sim.process(submitter(sim))
+    sim.run()
+    return done, srv
+
+
+@st.composite
+def server_jobs(draw):
+    """``(demand, cap)`` jobs, up to 160 of them: the width is drawn
+    first so regions wider than 96 slots are routinely covered."""
+    n = draw(st.integers(min_value=1, max_value=160))
+    return draw(st.lists(
         st.tuples(
             st.floats(min_value=1e-3, max_value=1e6),
             st.one_of(st.none(),
                       st.floats(min_value=1e-2, max_value=1e4)),
         ),
-        min_size=1, max_size=12),
-    st.floats(min_value=1e-1, max_value=1e3),
-)
-def test_scalar_and_vector_servers_agree(jobs, capacity):
-    scalar = ScalarBatchServer(capacity, len(jobs), 0.0)
-    vector = BatchServer(capacity, len(jobs), 0.0)
-    ev_s = drain(scalar, jobs)
-    ev_v = drain(vector, jobs)
-    # same completion groups at the same (tolerance-batched) times
-    assert len(ev_s) == len(ev_v)
-    for (ts, group_s), (tv, group_v) in zip(ev_s, ev_v):
-        assert rel_err(ts, tv) <= REL_TOL
-        assert group_s == group_v
-    assert rel_err(scalar.busy_time, vector.busy_time) <= REL_TOL
-    assert rel_err(scalar.total_served, vector.total_served) <= REL_TOL
+        min_size=n, max_size=n))
+
+
+@settings(max_examples=120, deadline=None)
+@given(server_jobs(), st.floats(min_value=1e-1, max_value=1e3))
+def test_scalar_server_matches_fair_share_server(jobs, capacity):
+    scalar = ScalarBatchServer(capacity, 0.0)
+    # two completion batches can land on the same float time, so the
+    # groups are compared as one completion order (each group in
+    # arrival order, as FairShareServer resumes it)
+    ev_s = [(t, slot) for t, group in drain(scalar, jobs) for slot in group]
+    ev_d, des = drain_des(capacity, jobs)
+    assert [slot for _t, slot in ev_s] == [slot for _t, slot in ev_d]
+    for (ts, _), (td, _) in zip(ev_s, ev_d):
+        assert rel_err(ts, td) <= REL_TOL
+    assert rel_err(scalar.busy_time, des.busy_time) <= REL_TOL
+    assert rel_err(scalar.total_served, des.total_served) <= REL_TOL
+
+
+def test_scalar_server_rejoins_uniform_lane_like_des():
+    # once the one odd cap leaves, FairShareServer is back on its
+    # uniform path (capacity / n for everyone); the batch server must
+    # follow, or the twins' rates differ by ulps down the water-fill
+    # chain and their completion times drift off the DES server's
+    jobs = [(1.0, 1e3)] + [(1000.0 * (k // 2 + 1), None)
+                           for k in range(40)]
+    scalar = ScalarBatchServer(0.1, 0.0)
+    ev_s = [(t, slot) for t, group in drain(scalar, jobs) for slot in group]
+    ev_d, _des = drain_des(0.1, jobs)
+    assert ev_s == ev_d
 
 
 def test_uniform_batch_completes_together():
-    srv = ScalarBatchServer(100.0, 8, 0.0)
+    srv = ScalarBatchServer(100.0, 0.0)
     events = drain(srv, [(50.0, None)] * 8)
     assert len(events) == 1
     t, group = events[0]
     assert group == list(range(8))
     assert rel_err(t, 8 * 50.0 / 100.0) <= REL_TOL
-
-
-def test_water_fill_matches_sequential_des_fill():
-    import numpy as np
-
-    caps = np.array([5.0, 30.0, 5.0, 100.0, 12.0])
-    capacity = 60.0
-    rates = _water_fill(caps, capacity)
-    # DES order: ascending distinct caps, equal split of the leftover
-    left, n_left = capacity, len(caps)
-    expected = {}
-    for idx in sorted(range(len(caps)), key=lambda i: caps[i]):
-        share = left / n_left
-        r = min(caps[idx], share)
-        expected[idx] = r
-        left -= r
-        n_left -= 1
-    for i, r in expected.items():
-        assert rel_err(rates[i], r) <= 1e-12
-    assert rates.sum() <= capacity * (1 + 1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.des.batch as batch
 from repro.des.batch import (
     ACQ,
     REL,
@@ -123,19 +122,6 @@ def test_closed_form_matches_event_stepped_scalar(case):
     assert_engines_agree(programs, capacity)
 
 
-@settings(max_examples=40, deadline=None)
-@given(convoy_cases())
-def test_closed_form_matches_event_stepped_vector(case):
-    # force every server onto the numpy BatchServer
-    programs, capacity = case
-    saved = batch.SCALAR_MAX_SLOTS
-    batch.SCALAR_MAX_SLOTS = 0
-    try:
-        assert_engines_agree(programs, capacity)
-    finally:
-        batch.SCALAR_MAX_SLOTS = saved
-
-
 # ----------------------------------------------------------------------
 # dispatch accounting
 # ----------------------------------------------------------------------
@@ -200,7 +186,7 @@ def test_convoy_schedule_closed_form():
 def test_scalar_frontier_still_batches_near_ties():
     # two jobs within the 1e-9 completion tolerance must finish
     # together even though the frontier fast path exists
-    srv = ScalarBatchServer(10.0, 3, 0.0)
+    srv = ScalarBatchServer(10.0, 0.0)
     srv.add(0, 1.0, None, 0, 0.0)
     srv.add(1, 1.0 * (1 + 5e-10), None, 1, 0.0)
     srv.add(2, 2.0, None, 2, 0.0)
@@ -214,7 +200,7 @@ def test_scalar_frontier_still_batches_near_ties():
 
 
 def test_scalar_frontier_single_completion_path():
-    srv = ScalarBatchServer(10.0, 4, 0.0)
+    srv = ScalarBatchServer(10.0, 0.0)
     for slot, d in enumerate([1.0, 2.0, 3.0, 4.0]):
         srv.add(slot, d, None, slot, 0.0)
     order = []

@@ -116,6 +116,15 @@ def test_contended_work_queue_matches_des():
     assert des.stats["des_regions"] == 1.0
     assert des.stats["lock_acquisitions"] > 0
     assert coh.stats["lock_acquisitions"] == des.stats["lock_acquisitions"]
+    # lock queue-depth statistics: the convoy peak and every
+    # depth-histogram bucket match the pure-DES run's
+    assert des.stats["lock_convoy_max"] >= 2
+    assert coh.stats["lock_convoy_max"] == des.stats["lock_convoy_max"]
+    hist_d = {k: v for k, v in des.stats.items()
+              if k.startswith("lock_convoy_hist_")}
+    hist_c = {k: v for k, v in coh.stats.items()
+              if k.startswith("lock_convoy_hist_")}
+    assert hist_d and hist_c == hist_d
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from repro.workload import (
     make_phase,
 )
 
-from tests.parity import assert_equivalent
+from tests.parity import REL_TOL, assert_equivalent, rel_err
 from tests.parity import run_both_mta as run_both
 
 
@@ -112,3 +112,30 @@ def test_unbalanced_threads_across_processors():
     job = JobBuilder("odd").parallel(threads).build()
     des, coh = run_both(job, n_proc=2)
     assert_equivalent(des, coh)
+
+
+def test_wide_regions_match_des(monkeypatch):
+    # the paper's 1024-chunk Threat Analysis on the 16-processor MTA:
+    # the registry's widest regions, up to 147 entities per batch
+    # server at this scale after class compression.  No other tier-1
+    # job puts more than 96 on one server.
+    import repro.mta.cohort as mta_cohort
+    from repro.des.batch import CohortEngine
+    from repro.harness import BenchmarkData
+
+    widths = []
+
+    class RecordingEngine(CohortEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            widths.append(self.stats["classes"])
+
+    monkeypatch.setattr(mta_cohort, "CohortEngine", RecordingEngine)
+    job = BenchmarkData(threat_scale=0.01).threat_chunked_job(1024)
+    des, coh = run_both(job, n_proc=16)
+    assert_equivalent(des, coh)
+    assert rel_err(coh.network_utilization,
+                   des.network_utilization) <= REL_TOL
+    assert coh.stats["cohort_regions"] == len(widths) > 0
+    assert coh.stats["des_regions"] == 0.0
+    assert max(widths) > 96
