@@ -31,11 +31,12 @@ block lock).
 **Two extractors, one verdict.**  Access events are pulled out of a
 region along the same traversals the two execution engines use: the
 DES extractor walks threads exactly like
-``ConventionalMachine._thread_body`` spawns them, the cohort extractor
-follows the segment-program compiler
-(:func:`repro.machines.cohort._compile_items` order, queue compiled
-once per item).  Both must produce identical findings for every job --
-``verify_engine_parity`` and the CI race job enforce it.
+``MachineDriver._thread_body`` runs them, the cohort extractor follows
+the segment-program compiler
+(:meth:`repro.machines.driver.MachineDriver._compile_items` order,
+queue compiled once per item).  Both must produce identical findings
+for every job -- ``verify_engine_parity`` and the CI race job enforce
+it.
 """
 
 from __future__ import annotations
@@ -94,8 +95,9 @@ def _events_des(region) -> list[AccessEvent]:
 def _events_cohort(region) -> list[AccessEvent]:
     """Mirror of the cohort path: homogeneous regions are compiled to
     segment programs (one per thread, same compile order as
-    ``machines.cohort._compile_items``); heterogeneous regions fall
-    back to the DES walk exactly as the engines themselves do."""
+    ``machines.driver.MachineDriver._compile_items``); heterogeneous
+    regions fall back to the DES walk exactly as the engines themselves
+    do."""
     if isinstance(region, ParallelRegion):
         if region_cohort_signature(region) is None:
             return _events_des(region)

@@ -1,16 +1,9 @@
-"""The SPARC T3-4 chip-multithreaded machine family (see ``spec.py``)."""
+"""The SPARC T3-4 chip-multithreaded machine family (see ``spec.py``).
 
-from typing import Any
+It runs on :class:`~repro.machines.ConventionalMachine` unchanged:
+``ConventionalMachine(cmt(n))``.
+"""
 
 from repro.cmt.spec import CMT_T3_4, SPARC_T3_4, CmtSpec, cmt
 
-__all__ = ["CMT_T3_4", "SPARC_T3_4", "CmtMachine", "CmtSpec", "cmt"]
-
-
-def __getattr__(name: str) -> Any:
-    # CmtMachine pulls in the full machine model; import it lazily so
-    # repro.machines.catalog can import repro.cmt.spec without a cycle.
-    if name == "CmtMachine":
-        from repro.cmt.machine import CmtMachine
-        return CmtMachine
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["CMT_T3_4", "SPARC_T3_4", "CmtSpec", "cmt"]

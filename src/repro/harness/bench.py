@@ -69,7 +69,9 @@ def _rows() -> dict[str, Callable]:
     }
 
 
-def _rel_err(a: float, b: float) -> float:
+def rel_err(a: float, b: float) -> float:
+    """``|a - b|`` relative to the larger magnitude; the parity check
+    is ``rel_err(...) <= REL_TOL``."""
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
@@ -108,7 +110,7 @@ def run_kernel_bench(data: BenchmarkData, repeat: int = 3,
         wall_d, res_d = _best_of(lambda: machine_d.run(job), repeat)
         machine_c, _ = build(data, True)
         wall_c, res_c = _best_of(lambda: machine_c.run(job), repeat)
-        rel = _rel_err(res_c.seconds, res_d.seconds)
+        rel = rel_err(res_c.seconds, res_d.seconds)
         ok = rel <= REL_TOL
         if not ok:
             status = 1
@@ -188,7 +190,7 @@ def run_verify(data: BenchmarkData, run=None) -> int:
             if sim_c != sim_d:
                 bad.append((key, sim_c, sim_d))
             continue
-        if _rel_err(sim_c, sim_d) > REL_TOL:
+        if rel_err(sim_c, sim_d) > REL_TOL:
             bad.append((key, sim_c, sim_d))
     print(f"verified {len(cohort_rows)} rows across "
           f"{len(EXPERIMENT_IDS)} experiments: "

@@ -1,18 +1,15 @@
-"""Cohort fast path for :class:`~repro.machines.ConventionalMachine`.
+"""Cohort hooks of :class:`~repro.machines.ConventionalMachine`.
 
-Compiles serial steps and homogeneous parallel regions into the
-segment form of :mod:`repro.des.batch` and executes them without DES
-processes:
+The family's half of the fast path in :mod:`repro.machines.driver`:
 
 * A serial step is a single job alone on each server, so its timeline
   is closed-form: the same ``t += demand / rate`` chain the DES event
   arithmetic performs, reproduced operation for operation.
 
 * An eligible region (all thread programs structurally identical; see
-  :mod:`repro.workload.cohort`) runs on a :class:`CohortEngine` with
-  two servers -- the cpu pool and the memory bus -- plus the region's
-  FIFO locks.  Work-queue regions compile each item once and share the
-  FIFO, mirroring the DES worker loop.
+  :mod:`repro.workload.cohort`) compiles each phase to segments on two
+  servers -- the cpu pool and the memory bus -- which the driver runs
+  on a :class:`~repro.des.batch.CohortEngine`.
 
 Regions are routed back to the DES path when thread programs are
 heterogeneous, or when ``exploit_fine_grained`` is set and a phase
@@ -22,21 +19,15 @@ parent-side submissions that the cohort compiler does not model).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Union
 
-from repro.des.batch import ACQ, REL, SLEEP, SRV, CohortEngine, serve_alone
+from repro.des.batch import SLEEP, SRV, serve_alone
 from repro.machines.locality import miss_traffic_bytes
-from repro.obs.metrics import lock_summary_from_engine
 from repro.workload.cohort import region_cohort_signature, region_phases
 from repro.workload.phase import Phase
-from repro.workload.task import (
-    Critical,
-    ParallelRegion,
-    WorkQueueRegion,
-)
+from repro.workload.task import ParallelRegion, WorkQueueRegion
 
-__all__ = ["region_eligible", "run_serial_phase", "run_region"]
+__all__ = ["region_eligible", "run_serial_phase", "compile_phase"]
 
 #: server ids used by the compiled segments
 CPU = 0
@@ -59,13 +50,14 @@ def region_eligible(machine,
     return True
 
 
-def run_serial_phase(machine, phase: Phase, t: float, cpu, bus) -> float:
+def run_serial_phase(machine, phase: Phase, t: float, servers) -> float:
     """Closed form of ``ConventionalMachine._run_phase`` on idle servers.
 
     Bit-identical to the DES event chain for a lone thread: each slice
     completes at ``t + demand / min(cap, capacity)``.
     """
     spec = machine.spec
+    cpu, bus = servers
     clock = spec.core.clock_hz
     cap = clock
     if phase.parallelism > 1 and machine.exploit_fine_grained:
@@ -88,70 +80,8 @@ def run_serial_phase(machine, phase: Phase, t: float, cpu, bus) -> float:
     return t
 
 
-def run_region(machine, step: Union[ParallelRegion, WorkQueueRegion],
-               t: float, cpu, bus) -> tuple[float, dict, dict]:
-    """Execute an eligible region; returns (end, lock_summary, stats).
-
-    The lock summary is the dict shape of
-    :func:`repro.obs.metrics.lock_summary_from_engine` (waits,
-    wait_time, convoy_max, hist); ``stats`` is the engine's
-    per-region choice accounting (closed-form vs event-stepped).
-    Credits the live servers' busy-time/served-work statistics so the
-    final utilization numbers match the DES path.
-    """
-    spec = machine.spec
-    clock = spec.core.clock_hz
-    costs = spec.costs_for(step.thread_kind)
-    # the parent creates every thread before any runs
-    create = costs.create_cycles * step.n_threads
-    if create > 0:
-        t = serve_alone(cpu, create, clock, t)
-
-    queue = None
-    if isinstance(step, ParallelRegion):
-        programs = [
-            _compile_items(machine, th.items, costs, prefix=None)
-            for th in step.threads
-        ]
-    else:
-        sync = costs.sync_cycles
-        # popping the shared queue is a synchronized operation
-        prefix = [(SRV, CPU, sync, clock)] if sync > 0 else []
-        queue = deque(
-            _compile_items(machine, item.items, costs, prefix=prefix)
-            for item in step.items
-        )
-        programs = [[] for _ in range(step.n_threads)]
-
-    eng = CohortEngine(t, (cpu.capacity, bus.capacity), programs,
-                       queue=queue)
-    end = eng.run()
-    for server, batch in ((cpu, eng.servers[CPU]), (bus, eng.servers[BUS])):
-        server.busy_time += batch.busy_time
-        server.total_served += batch.total_served
-    return end, lock_summary_from_engine(eng), eng.stats
-
-
-# ----------------------------------------------------------------------
-# compilation
-# ----------------------------------------------------------------------
-def _compile_items(machine, items, costs, prefix) -> list:
-    spec = machine.spec
-    clock = spec.core.clock_hz
-    segs = list(prefix) if prefix else []
-    for item in items:
-        if isinstance(item, Critical):
-            segs.append((ACQ, item.lock))
-            if costs.sync_cycles > 0:
-                segs.append((SRV, CPU, costs.sync_cycles, clock))
-            _compile_phase(machine, item.phase, segs)
-            segs.append((REL, item.lock))
-        else:
-            _compile_phase(machine, item.phase, segs)
-    return segs
-
-
-def _compile_phase(machine, phase: Phase, segs: list) -> None:
+def compile_phase(machine, phase: Phase, segs: list) -> None:
+    """Append ``ConventionalMachine._run_phase``'s slices as segments."""
     spec = machine.spec
     clock = spec.core.clock_hz
     slices = machine.slices_per_phase

@@ -25,47 +25,19 @@ threads for them, paying the creation cost per strand; this exists to
 reproduce the paper's observation that inner-loop parallelization is
 not practical on these platforms.
 
-Serial steps and homogeneous regions (see
-:mod:`repro.workload.cohort`) take a vectorized fast path by default
--- the same timeline computed without per-thread DES processes.  Set
-``REPRO_NO_COHORT=1`` (or pass ``use_cohort=False``) to force
-everything through the DES path; the two agree on simulated seconds to
-well within 1e-9 relative.
+The step loop, the engines and their escape hatches live in
+:mod:`repro.machines.driver`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.des import (
-    AllOf,
-    FairShareServer,
-    Simulator,
-    SimLock,
-    Store,
-)
-from repro.obs.metrics import (
-    MachineMetrics,
-    hist_fields,
-    lock_summary_from_resources,
-    merge_lock_summaries,
-)
-from repro.obs.trace import active_tracer
-from repro.workload.describe import step_label
+from repro.des import FairShareServer
 from repro.workload.phase import Phase
-from repro.workload.task import (
-    Compute,
-    Critical,
-    Job,
-    ParallelRegion,
-    SerialStep,
-    ThreadProgram,
-    WorkQueueRegion,
-)
-
-from repro.workload.cohort import cohort_enabled
 
 from repro.machines import cohort
+from repro.machines.driver import MachineDriver
 from repro.machines.locality import miss_traffic_bytes
 from repro.machines.spec import MachineSpec
 
@@ -88,223 +60,59 @@ class RunResult:
         return self.seconds / 60.0
 
 
-class ConventionalMachine:
+class ConventionalMachine(MachineDriver):
     """DES performance model of a cache-based shared-memory machine."""
+
+    #: every synchronized access runs on the cpu pool
+    SYNC_SID = cohort.CPU
+
+    # the family's cohort hooks: functions of the machine, bound here
+    region_eligible = cohort.region_eligible
+    run_serial_phase = cohort.run_serial_phase
+    compile_phase = cohort.compile_phase
 
     def __init__(self, spec: MachineSpec, slices_per_phase: int = 16,
                  exploit_fine_grained: bool = False,
                  use_cohort: bool | None = None):
-        if slices_per_phase < 1:
-            raise ValueError("slices_per_phase must be >= 1")
-        self.spec = spec
-        self.slices_per_phase = slices_per_phase
+        super().__init__(spec, slices_per_phase, use_cohort)
         self.exploit_fine_grained = exploit_fine_grained
-        self.use_cohort = (cohort_enabled() if use_cohort is None
-                           else bool(use_cohort))
+        self.clock = self.sync_cap = spec.core.clock_hz
 
-    # ------------------------------------------------------------------
-    def run(self, job: Job) -> RunResult:
+    def _servers(self, sim) -> list:
         spec = self.spec
-        sim = Simulator()
-        tracer = active_tracer()
-        metrics = MachineMetrics(tracer)
-        if tracer is not None:
-            tracer.begin_run(f"{spec.name}/{job.name}")
-            sim.trace = tracer
-        clock = spec.core.clock_hz
         cpu = FairShareServer(
-            sim, capacity=spec.n_cpus * clock, per_customer_cap=clock,
-            name="cpu-pool")
+            sim, capacity=spec.n_cpus * self.clock,
+            per_customer_cap=self.clock, name="cpu-pool")
         bus = FairShareServer(
             sim, capacity=spec.mem.bandwidth_bytes_per_s,
             per_customer_cap=spec.per_cpu_mem_bandwidth, name="bus")
-        locks: dict[str, SimLock] = {}
-        peak = [1]
-        # cohort-vs-DES coverage and fast-path lock statistics
-        acct = {"cohort_regions": 0, "des_regions": 0,
-                "cohort_serial_steps": 0, "des_serial_steps": 0,
-                "closed_form_regions": 0, "drained_grants": 0,
-                "stepped_grants": 0, "engine_events": 0,
-                "locks": {"waits": 0, "wait_time": 0.0, "convoy_max": 0,
-                          "hist": {}}}
+        return [cpu, bus]
 
-        main = sim.process(
-            self._job_body(sim, job, cpu, bus, locks, peak, acct,
-                           metrics),
-            name=job.name)
-        sim.run_all(main)
-        if tracer is not None:
-            tracer.end_run(sim.now)
-
-        total = sim.now
-        lock_sum = merge_lock_summaries(
-            lock_summary_from_resources(locks.values()), acct["locks"])
-        stats = {
-            "cpu_busy_time": cpu.busy_time,
-            "bus_busy_time": bus.busy_time,
-            "lock_acquisitions": float(lock_sum["waits"]),
-            "cohort_regions": float(acct["cohort_regions"]),
-            "des_regions": float(acct["des_regions"]),
-            "cohort_serial_steps": float(acct["cohort_serial_steps"]),
-            "des_serial_steps": float(acct["des_serial_steps"]),
-            "closed_form_regions": float(acct["closed_form_regions"]),
-            "cohort_drained_grants": float(acct["drained_grants"]),
-            "cohort_stepped_grants": float(acct["stepped_grants"]),
-            "cohort_engine_events": float(acct["engine_events"]),
-            "lock_wait_time": lock_sum["wait_time"],
-            "lock_convoy_max": float(lock_sum["convoy_max"]),
-        }
-        stats.update(metrics.rollup())
-        stats.update(hist_fields(lock_sum["hist"]))
+    def _result(self, job, servers, total, lock_sum, peak,
+                shared) -> RunResult:
+        cpu, bus = servers
         return RunResult(
-            machine=spec.name,
+            machine=self.spec.name,
             job=job.name,
             seconds=total,
             cpu_utilization=cpu.utilization(total) if total > 0 else 0.0,
             bus_utilization=bus.utilization(total) if total > 0 else 0.0,
             lock_wait_seconds=lock_sum["wait_time"],
-            n_threads_peak=peak[0],
-            stats=stats,
+            n_threads_peak=peak,
+            stats={"cpu_busy_time": cpu.busy_time,
+                   "bus_busy_time": bus.busy_time,
+                   "lock_acquisitions": float(lock_sum["waits"]),
+                   **shared},
         )
 
-    # ------------------------------------------------------------------
-    def _lock(self, sim: Simulator, locks: dict[str, SimLock],
-              name: str) -> SimLock:
-        if name not in locks:
-            locks[name] = SimLock(sim, name=name)
-        return locks[name]
+    def _create(self, cpu, cycles: float):
+        # the conventional parent enters the cpu pool even for 0 cycles
+        return cpu.submit(cycles, cap=self.clock)
 
-    def _job_body(self, sim, job, cpu, bus, locks, peak, acct, metrics):
-        # ``cursor`` runs ahead of sim.now through fast-path steps; one
-        # timeout folds the accumulated span back into the DES clock
-        # before (and after) any step that needs real events.
+    def _run_phase(self, sim, phase: Phase, servers, home):
         spec = self.spec
-        cursor = sim.now
-        for i, step in enumerate(job.steps):
-            label = step_label(step, i)
-            if isinstance(step, SerialStep):
-                if self.use_cohort:
-                    t0 = cursor
-                    cursor = cohort.run_serial_phase(
-                        self, step.phase, cursor, cpu, bus)
-                    acct["cohort_serial_steps"] += 1
-                    metrics.region("serial", "cohort", label, t0, cursor)
-                    continue
-                acct["des_serial_steps"] += 1
-                if cursor > sim.now:
-                    yield sim.timeout(cursor - sim.now)
-                t0 = sim.now
-                yield from self._run_phase(sim, step.phase, cpu, bus)
-                cursor = sim.now
-                metrics.region("serial", "des", label, t0, cursor)
-            elif isinstance(step, ParallelRegion):
-                peak[0] = max(peak[0], step.n_threads)
-                if self.use_cohort and cohort.region_eligible(self, step):
-                    t0 = cursor
-                    cursor, lock_sum, est = cohort.run_region(
-                        self, step, cursor, cpu, bus)
-                    acct["cohort_regions"] += 1
-                    acct["closed_form_regions"] += est["closed_form"]
-                    acct["drained_grants"] += est["drained_grants"]
-                    acct["stepped_grants"] += est["stepped_grants"]
-                    acct["engine_events"] += est["events"]
-                    merge_lock_summaries(acct["locks"], lock_sum)
-                    metrics.region("parallel", "cohort", label, t0,
-                                   cursor, step.n_threads)
-                    continue
-                acct["des_regions"] += 1
-                if cursor > sim.now:
-                    yield sim.timeout(cursor - sim.now)
-                t0 = sim.now
-                costs = spec.costs_for(step.thread_kind)
-                # the parent creates every thread before any runs
-                yield cpu.submit(costs.create_cycles * step.n_threads,
-                                 cap=spec.core.clock_hz)
-                procs = [
-                    sim.process(
-                        self._thread_body(sim, th, cpu, bus, locks, costs),
-                        name=th.name)
-                    for th in step.threads
-                ]
-                yield AllOf(sim, procs)
-                cursor = sim.now
-                metrics.region("parallel", "des", label, t0, cursor,
-                               step.n_threads)
-            elif isinstance(step, WorkQueueRegion):
-                peak[0] = max(peak[0], step.n_threads)
-                if self.use_cohort and cohort.region_eligible(self, step):
-                    t0 = cursor
-                    cursor, lock_sum, est = cohort.run_region(
-                        self, step, cursor, cpu, bus)
-                    acct["cohort_regions"] += 1
-                    acct["closed_form_regions"] += est["closed_form"]
-                    acct["drained_grants"] += est["drained_grants"]
-                    acct["stepped_grants"] += est["stepped_grants"]
-                    acct["engine_events"] += est["events"]
-                    merge_lock_summaries(acct["locks"], lock_sum)
-                    metrics.region("parallel", "cohort", label, t0,
-                                   cursor, step.n_threads)
-                    continue
-                acct["des_regions"] += 1
-                if cursor > sim.now:
-                    yield sim.timeout(cursor - sim.now)
-                t0 = sim.now
-                costs = spec.costs_for(step.thread_kind)
-                yield cpu.submit(costs.create_cycles * step.n_threads,
-                                 cap=spec.core.clock_hz)
-                queue = Store(sim, name="work-queue")
-                for item in step.items:
-                    queue.put(item)
-                procs = [
-                    sim.process(
-                        self._worker_body(sim, queue, cpu, bus, locks,
-                                          costs),
-                        name=f"worker-{i}")
-                    for i in range(step.n_threads)
-                ]
-                yield AllOf(sim, procs)
-                cursor = sim.now
-                metrics.region("parallel", "des", label, t0, cursor,
-                               step.n_threads)
-            else:  # pragma: no cover - Job validates step types
-                raise TypeError(f"unknown job step {step!r}")
-        if cursor > sim.now:
-            yield sim.timeout(cursor - sim.now)
-
-    def _thread_body(self, sim, program: ThreadProgram, cpu, bus, locks,
-                     costs):
-        for item in program.items:
-            yield from self._run_item(sim, item, cpu, bus, locks, costs)
-
-    def _worker_body(self, sim, queue: Store, cpu, bus, locks, costs):
-        clock = self.spec.core.clock_hz
-        while True:
-            ok, item = queue.try_get()
-            if not ok:
-                return
-            # popping the shared queue is a synchronized operation
-            yield cpu.submit(costs.sync_cycles, cap=clock)
-            for it in item.items:
-                yield from self._run_item(sim, it, cpu, bus, locks, costs)
-
-    def _run_item(self, sim, item, cpu, bus, locks, costs):
-        if isinstance(item, Compute):
-            yield from self._run_phase(sim, item.phase, cpu, bus)
-        elif isinstance(item, Critical):
-            lock = self._lock(sim, locks, item.lock)
-            grant = yield lock.acquire()
-            try:
-                yield cpu.submit(costs.sync_cycles,
-                                 cap=self.spec.core.clock_hz)
-                yield from self._run_phase(sim, item.phase, cpu, bus)
-            finally:
-                lock.release(grant)
-        else:  # pragma: no cover - ThreadProgram validates item types
-            raise TypeError(f"unknown thread item {item!r}")
-
-    def _run_phase(self, sim, phase: Phase, cpu, bus):
-        spec = self.spec
-        clock = spec.core.clock_hz
+        cpu, bus = servers
+        clock = self.clock
         compute_cycles = spec.core.compute_cycles(phase.ops)
         cap = clock
 

@@ -1,12 +1,12 @@
-"""Cohort fast path for :class:`~repro.mta.MtaMachine`.
+"""Cohort hooks of :class:`~repro.mta.MtaMachine`.
 
 The MTA macro model maps every thread to one processor's issue server
 plus the shared network server.  For homogeneous regions whose phases
 carry no internal parallelism (one stream per thread), the per-slice
 ``AllOf(issue, network)`` pattern compiles to :data:`~repro.des.batch.PAR`
-segments and the whole region replays on a :class:`CohortEngine`:
-one batch server per processor (per-stream caps) and one for the
-network (uncapped equal-share).
+segments, which :mod:`repro.machines.driver` replays on a
+:class:`~repro.des.batch.CohortEngine`: one batch server per processor
+(per-stream caps) and one for the network (uncapped equal-share).
 
 Serial steps -- including the fine-grained phases with
 ``parallelism > 1`` that spread issue demand over every processor --
@@ -19,27 +19,18 @@ parallel regions fall back to the DES path.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Union
 
-from repro.des.batch import (
-    ACQ,
-    PAR,
-    REL,
-    SLEEP,
-    SRV,
-    CohortEngine,
-    serve_alone,
-)
-from repro.obs.metrics import lock_summary_from_engine
+from repro.des.batch import PAR, SLEEP, serve_alone
 from repro.workload.cohort import region_cohort_signature, region_phases
 from repro.workload.phase import Phase
-from repro.workload.task import Critical, ParallelRegion, WorkQueueRegion
+from repro.workload.task import ParallelRegion, WorkQueueRegion
 
-__all__ = ["region_eligible", "run_serial_phase", "run_region"]
+__all__ = ["region_eligible", "run_serial_phase", "compile_phase"]
 
 
-def region_eligible(step: Union[ParallelRegion, WorkQueueRegion]) -> bool:
+def region_eligible(machine,
+                    step: Union[ParallelRegion, WorkQueueRegion]) -> bool:
     """Whether the MTA cohort engine can replay this region exactly.
 
     Fine-grained phases (``parallelism > 1``) spread their issue
@@ -54,8 +45,7 @@ def region_eligible(step: Union[ParallelRegion, WorkQueueRegion]) -> bool:
     return all(p.parallelism <= 1 for p in region_phases(step))
 
 
-def run_serial_phase(machine, phase: Phase, t: float, issue,
-                     network) -> float:
+def run_serial_phase(machine, phase: Phase, t: float, servers) -> float:
     """Closed form of ``MtaMachine._run_phase`` for the control thread.
 
     Mirrors the DES event chain bit-for-bit: per slice, the issue and
@@ -73,11 +63,12 @@ def run_serial_phase(machine, phase: Phase, t: float, issue,
     p = phase.parallelism
     slices = machine.slices_per_phase
     clock = spec.clock_hz
+    network = servers[-1]
     net_cap = network.capacity
 
     if p <= 1:
         # one stream on the control thread's processor (proc 0)
-        srv = issue[0]
+        srv = servers[0]
         cap = stream_rate
         per_slice_instr = instr / slices
         per_slice_words = words / slices
@@ -105,7 +96,7 @@ def run_serial_phase(machine, phase: Phase, t: float, issue,
                 # identical demand and cap on every processor: all
                 # complete at the same instant
                 for q in range(n_proc):
-                    e = serve_alone(issue[q], per_slice_instr, cap, t)
+                    e = serve_alone(servers[q], per_slice_instr, cap, t)
                 if e > end:
                     end = e
             if per_slice_words > 0:
@@ -119,75 +110,9 @@ def run_serial_phase(machine, phase: Phase, t: float, issue,
     return t
 
 
-def run_region(machine, step: Union[ParallelRegion, WorkQueueRegion],
-               t: float, issue, network) -> tuple[float, dict, dict]:
-    """Execute an eligible region; returns (end, lock_summary, stats),
-    the summary being the dict shape of
-    :func:`repro.obs.metrics.lock_summary_from_engine` and ``stats``
-    the engine's per-region choice accounting."""
-    spec = machine.spec
-    costs = spec.costs_for(step.thread_kind)
-    # parent-side creation: a single stream issuing at pipeline rate
-    create = costs.create_cycles * step.n_threads
-    if create > 0:
-        t = serve_alone(issue[0], create, spec.clock_hz, t)
-
-    n_proc = spec.n_processors
-    net_sid = n_proc
-    sync = costs.sync_cycles
-    sync_cap = spec.stream_issue_rate(1.0)
-
-    queue = None
-    if isinstance(step, ParallelRegion):
-        programs = [
-            _compile_items(machine, th.items, sync, sync_cap, net_sid)
-            for th in step.threads
-        ]
-        n_threads = step.n_threads
-    else:
-        # synchronized queue pop: one full/empty access per item, paid
-        # on the popping worker's processor
-        prefix = [(SRV, None, sync, sync_cap)] if sync > 0 else []
-        queue = deque(
-            _compile_items(machine, item.items, sync, sync_cap, net_sid,
-                           prefix=prefix)
-            for item in step.items
-        )
-        n_threads = step.n_threads
-        programs = [[] for _ in range(n_threads)]
-
-    own = [i % n_proc for i in range(n_threads)]
-    capacities = [spec.clock_hz] * n_proc + [network.capacity]
-    eng = CohortEngine(t, capacities, programs, own_sids=own, queue=queue)
-    end = eng.run()
-    for q in range(n_proc):
-        issue[q].busy_time += eng.servers[q].busy_time
-        issue[q].total_served += eng.servers[q].total_served
-    network.busy_time += eng.servers[net_sid].busy_time
-    network.total_served += eng.servers[net_sid].total_served
-    return end, lock_summary_from_engine(eng), eng.stats
-
-
-# ----------------------------------------------------------------------
-# compilation
-# ----------------------------------------------------------------------
-def _compile_items(machine, items, sync, sync_cap, net_sid,
-                   prefix=None) -> list:
-    segs = list(prefix) if prefix else []
-    for item in items:
-        if isinstance(item, Critical):
-            segs.append((ACQ, item.lock))
-            if sync > 0:
-                # full/empty-bit acquisition: one synchronized access
-                segs.append((SRV, None, sync, sync_cap))
-            _compile_phase(machine, item.phase, segs, net_sid)
-            segs.append((REL, item.lock))
-        else:
-            _compile_phase(machine, item.phase, segs, net_sid)
-    return segs
-
-
-def _compile_phase(machine, phase: Phase, segs: list, net_sid) -> None:
+def compile_phase(machine, phase: Phase, segs: list) -> None:
+    """Append ``MtaMachine._run_phase``'s single-stream slices as
+    :data:`~repro.des.batch.PAR` segments on the home processor."""
     spec = machine.spec
     ops = phase.ops
     words = ops.mem_ops
@@ -203,7 +128,7 @@ def _compile_phase(machine, phase: Phase, segs: list, net_sid) -> None:
     if per_slice_instr > 0:
         parts.append((None, per_slice_instr, cap))
     if per_slice_words > 0:
-        parts.append((net_sid, per_slice_words, None))
+        parts.append((spec.n_processors, per_slice_words, None))
     if parts:
         # every slice is the same immutable segment
         segs.extend([(PAR, tuple(parts))] * slices)

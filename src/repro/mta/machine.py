@@ -27,37 +27,19 @@ Executes :class:`~repro.workload.Job` descriptions on DES servers:
 Instruction counts come from abstract op counts divided by the LIW
 packing factor (``ops_per_instruction``).
 
-Serial steps and homogeneous single-stream regions take the vectorized
-cohort fast path by default (see :mod:`repro.mta.cohort`); set
-``REPRO_NO_COHORT=1`` or pass ``use_cohort=False`` to force the pure
-DES path.
+Each thread is pinned round-robin to a home processor.  The step
+loop, the engines and their escape hatches live in
+:mod:`repro.machines.driver`; the MTA's cohort hooks are in
+:mod:`repro.mta.cohort`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.des import AllOf, FairShareServer, SimLock, Simulator, Store
-from repro.obs.metrics import (
-    MachineMetrics,
-    hist_fields,
-    lock_summary_from_resources,
-    merge_lock_summaries,
-)
-from repro.obs.trace import active_tracer
-from repro.workload.describe import step_label
+from repro.des import AllOf, FairShareServer
+from repro.machines.driver import MachineDriver
 from repro.workload.phase import Phase
-from repro.workload.task import (
-    Compute,
-    Critical,
-    Job,
-    ParallelRegion,
-    SerialStep,
-    ThreadProgram,
-    WorkQueueRegion,
-)
-
-from repro.workload.cohort import cohort_enabled
 
 from repro.mta import cohort
 from repro.mta.spec import MtaSpec
@@ -77,27 +59,30 @@ class MtaRunResult:
     stats: dict[str, float] = field(default_factory=dict)
 
 
-class MtaMachine:
+class MtaMachine(MachineDriver):
     """DES performance model of the Tera MTA."""
+
+    #: a synchronized access runs on the thread's own processor
+    SYNC_SID = None
+
+    # the family's cohort hooks: functions of the machine, bound here
+    region_eligible = cohort.region_eligible
+    run_serial_phase = cohort.run_serial_phase
+    compile_phase = cohort.compile_phase
 
     def __init__(self, spec: MtaSpec, slices_per_phase: int = 8,
                  use_cohort: bool | None = None):
-        if slices_per_phase < 1:
-            raise ValueError("slices_per_phase must be >= 1")
-        self.spec = spec
-        self.slices_per_phase = slices_per_phase
-        self.use_cohort = (cohort_enabled() if use_cohort is None
-                           else bool(use_cohort))
+        super().__init__(spec, slices_per_phase, use_cohort)
+        # creation is not memory-bound: the creating stream retires it
+        # at full pipeline rate; a full/empty access is one memory op
+        self.clock = spec.clock_hz
+        self.sync_cap = spec.stream_issue_rate(1.0)
 
-    # ------------------------------------------------------------------
-    def run(self, job: Job) -> MtaRunResult:
+    def _home(self, i: int) -> int:
+        return i % self.spec.n_processors
+
+    def _servers(self, sim) -> list:
         spec = self.spec
-        sim = Simulator()
-        tracer = active_tracer()
-        metrics = MachineMetrics(tracer)
-        if tracer is not None:
-            tracer.begin_run(f"{spec.name}/{job.name}")
-            sim.trace = tracer
         issue = [
             FairShareServer(sim, capacity=spec.clock_hz,
                             name=f"issue-p{p}")
@@ -106,222 +91,35 @@ class MtaMachine:
         network = FairShareServer(
             sim, capacity=spec.network_capacity_words_per_s(),
             name="network")
-        locks: dict[str, SimLock] = {}
-        peak = [1]
-        acct = {"cohort_regions": 0, "des_regions": 0,
-                "cohort_serial_steps": 0, "des_serial_steps": 0,
-                "closed_form_regions": 0, "drained_grants": 0,
-                "stepped_grants": 0, "engine_events": 0,
-                "locks": {"waits": 0, "wait_time": 0.0, "convoy_max": 0,
-                          "hist": {}}}
+        return issue + [network]
 
-        main = sim.process(
-            self._job_body(sim, job, issue, network, locks, peak, acct,
-                           metrics),
-            name=job.name)
-        sim.run_all(main)
-        if tracer is not None:
-            tracer.end_run(sim.now)
-
-        total = sim.now
-        lock_sum = merge_lock_summaries(
-            lock_summary_from_resources(locks.values()), acct["locks"])
+    def _result(self, job, servers, total, lock_sum, peak,
+                shared) -> MtaRunResult:
+        issue, network = servers[:-1], servers[-1]
         issue_util = (sum(s.utilization(total) for s in issue) / len(issue)
                       if total > 0 else 0.0)
-        stats = {
-            "network_busy_time": network.busy_time,
-            "issue_busy_time_total": float(
-                sum(s.busy_time for s in issue)),
-            "cohort_regions": float(acct["cohort_regions"]),
-            "des_regions": float(acct["des_regions"]),
-            "cohort_serial_steps": float(acct["cohort_serial_steps"]),
-            "des_serial_steps": float(acct["des_serial_steps"]),
-            "closed_form_regions": float(acct["closed_form_regions"]),
-            "cohort_drained_grants": float(acct["drained_grants"]),
-            "cohort_stepped_grants": float(acct["stepped_grants"]),
-            "cohort_engine_events": float(acct["engine_events"]),
-            "lock_wait_time": lock_sum["wait_time"],
-            "lock_convoy_max": float(lock_sum["convoy_max"]),
-        }
-        stats.update(metrics.rollup())
-        stats.update(hist_fields(lock_sum["hist"]))
         return MtaRunResult(
-            machine=spec.name,
+            machine=self.spec.name,
             job=job.name,
             seconds=total,
             issue_utilization=issue_util,
             network_utilization=(network.utilization(total)
                                  if total > 0 else 0.0),
             lock_wait_seconds=lock_sum["wait_time"],
-            n_threads_peak=peak[0],
-            stats=stats,
+            n_threads_peak=peak,
+            stats={"network_busy_time": network.busy_time,
+                   "issue_busy_time_total": float(
+                       sum(s.busy_time for s in issue)),
+                   **shared},
         )
 
-    # ------------------------------------------------------------------
-    def _lock(self, sim, locks, name: str) -> SimLock:
-        if name not in locks:
-            locks[name] = SimLock(sim, name=name)
-        return locks[name]
+    def _create(self, issue0, cycles: float):
+        # a single stream issues the create instructions
+        return issue0.submit(cycles, cap=self.clock) if cycles > 0 else None
 
-    def _stream_cap(self, mem_fraction: float) -> float:
-        """One stream's instruction-rate ceiling for a given mix."""
-        return self.spec.stream_issue_rate(mem_fraction)
-
-    def _creation(self, issue0, kind: str, n_threads: int):
-        """Parent-side thread creation: a single stream issuing the
-        create instructions."""
-        costs = self.spec.costs_for(kind)
-        cycles = costs.create_cycles * n_threads
-        if cycles <= 0:
-            return None
-        # The cost is quoted in cycles; the creating stream retires them
-        # at full pipeline rate (creation is not memory-bound).
-        return issue0.submit(cycles, cap=self.spec.clock_hz)
-
-    def _job_body(self, sim, job, issue, network, locks, peak, acct,
-                  metrics):
-        # ``cursor`` runs ahead of sim.now through fast-path steps; one
-        # timeout folds the accumulated span back into the DES clock
-        # around any step that needs real events.
+    def _run_phase(self, sim, phase: Phase, servers, home):
         spec = self.spec
-        cursor = sim.now
-        for idx, step in enumerate(job.steps):
-            label = step_label(step, idx)
-            if isinstance(step, SerialStep):
-                if self.use_cohort:
-                    t0 = cursor
-                    cursor = cohort.run_serial_phase(
-                        self, step.phase, cursor, issue, network)
-                    acct["cohort_serial_steps"] += 1
-                    metrics.region("serial", "cohort", label, t0, cursor)
-                    continue
-                acct["des_serial_steps"] += 1
-                if cursor > sim.now:
-                    yield sim.timeout(cursor - sim.now)
-                t0 = sim.now
-                yield from self._run_phase(sim, step.phase, 0, issue,
-                                           network)
-                cursor = sim.now
-                metrics.region("serial", "des", label, t0, cursor)
-            elif isinstance(step, ParallelRegion):
-                peak[0] = max(peak[0], step.n_threads)
-                if self.use_cohort and cohort.region_eligible(step):
-                    t0 = cursor
-                    cursor, lock_sum, est = cohort.run_region(
-                        self, step, cursor, issue, network)
-                    acct["cohort_regions"] += 1
-                    acct["closed_form_regions"] += est["closed_form"]
-                    acct["drained_grants"] += est["drained_grants"]
-                    acct["stepped_grants"] += est["stepped_grants"]
-                    acct["engine_events"] += est["events"]
-                    merge_lock_summaries(acct["locks"], lock_sum)
-                    metrics.region("parallel", "cohort", label, t0,
-                                   cursor, step.n_threads)
-                    continue
-                acct["des_regions"] += 1
-                if cursor > sim.now:
-                    yield sim.timeout(cursor - sim.now)
-                t0 = sim.now
-                ev = self._creation(issue[0], step.thread_kind,
-                                    step.n_threads)
-                if ev is not None:
-                    yield ev
-                procs = [
-                    sim.process(
-                        self._thread_body(sim, th, i % spec.n_processors,
-                                          issue, network, locks,
-                                          step.thread_kind),
-                        name=th.name)
-                    for i, th in enumerate(step.threads)
-                ]
-                yield AllOf(sim, procs)
-                cursor = sim.now
-                metrics.region("parallel", "des", label, t0, cursor,
-                               step.n_threads)
-            elif isinstance(step, WorkQueueRegion):
-                peak[0] = max(peak[0], step.n_threads)
-                if self.use_cohort and cohort.region_eligible(step):
-                    t0 = cursor
-                    cursor, lock_sum, est = cohort.run_region(
-                        self, step, cursor, issue, network)
-                    acct["cohort_regions"] += 1
-                    acct["closed_form_regions"] += est["closed_form"]
-                    acct["drained_grants"] += est["drained_grants"]
-                    acct["stepped_grants"] += est["stepped_grants"]
-                    acct["engine_events"] += est["events"]
-                    merge_lock_summaries(acct["locks"], lock_sum)
-                    metrics.region("parallel", "cohort", label, t0,
-                                   cursor, step.n_threads)
-                    continue
-                acct["des_regions"] += 1
-                if cursor > sim.now:
-                    yield sim.timeout(cursor - sim.now)
-                t0 = sim.now
-                ev = self._creation(issue[0], step.thread_kind,
-                                    step.n_threads)
-                if ev is not None:
-                    yield ev
-                queue = Store(sim, name="work-queue")
-                for item in step.items:
-                    queue.put(item)
-                procs = [
-                    sim.process(
-                        self._worker_body(sim, queue, i % spec.n_processors,
-                                          issue, network, locks,
-                                          step.thread_kind),
-                        name=f"worker-{i}")
-                    for i in range(step.n_threads)
-                ]
-                yield AllOf(sim, procs)
-                cursor = sim.now
-                metrics.region("parallel", "des", label, t0, cursor,
-                               step.n_threads)
-            else:  # pragma: no cover
-                raise TypeError(f"unknown job step {step!r}")
-        if cursor > sim.now:
-            yield sim.timeout(cursor - sim.now)
-
-    def _thread_body(self, sim, program: ThreadProgram, proc: int, issue,
-                     network, locks, kind: str):
-        for item in program.items:
-            yield from self._run_item(sim, item, proc, issue, network,
-                                      locks, kind)
-
-    def _worker_body(self, sim, queue: Store, proc: int, issue, network,
-                     locks, kind: str):
-        costs = self.spec.costs_for(kind)
-        while True:
-            ok, item = queue.try_get()
-            if not ok:
-                return
-            # synchronized queue pop: one full/empty access
-            yield issue[proc].submit(costs.sync_cycles,
-                                     cap=self._stream_cap(1.0))
-            for it in item.items:
-                yield from self._run_item(sim, it, proc, issue, network,
-                                          locks, kind)
-
-    def _run_item(self, sim, item, proc, issue, network, locks, kind):
-        if isinstance(item, Compute):
-            yield from self._run_phase(sim, item.phase, proc, issue,
-                                       network)
-        elif isinstance(item, Critical):
-            costs = self.spec.costs_for(kind)
-            lock = self._lock(sim, locks, item.lock)
-            grant = yield lock.acquire()
-            try:
-                # full/empty-bit acquisition: one cycle
-                yield issue[proc].submit(costs.sync_cycles,
-                                         cap=self._stream_cap(1.0))
-                yield from self._run_phase(sim, item.phase, proc, issue,
-                                           network)
-            finally:
-                lock.release(grant)
-        else:  # pragma: no cover
-            raise TypeError(f"unknown thread item {item!r}")
-
-    def _run_phase(self, sim, phase: Phase, proc: int, issue, network):
-        spec = self.spec
+        network = servers[-1]
         ops = phase.ops
         words = ops.mem_ops
         # LIW packing: up to `ops_per_instruction` ops per bundle, but a
@@ -331,7 +129,7 @@ class MtaMachine:
         if instr <= 0 and phase.serial_cycles <= 0:
             return
         memf = words / instr if instr > 0 else 0.0
-        stream_rate = self._stream_cap(memf)
+        stream_rate = spec.stream_issue_rate(memf)
         p = phase.parallelism
         slices = self.slices_per_phase
 
@@ -343,8 +141,8 @@ class MtaMachine:
             for _ in range(slices):
                 events = []
                 if per_slice_instr > 0:
-                    events.append(issue[proc].submit(per_slice_instr,
-                                                     cap=cap))
+                    events.append(servers[home].submit(per_slice_instr,
+                                                       cap=cap))
                 if per_slice_words > 0:
                     events.append(network.submit(per_slice_words))
                 if events:
@@ -358,7 +156,7 @@ class MtaMachine:
             per_slice_words = words / slices
             for _ in range(slices):
                 events = [
-                    issue[q].submit(per_slice_instr, cap=cap)
+                    servers[q].submit(per_slice_instr, cap=cap)
                     for q in range(n_proc)
                     if per_slice_instr > 0
                 ]

@@ -42,17 +42,6 @@ def cohort_enabled() -> bool:
     return os.environ.get(NO_COHORT_ENV, "") in ("", "0")
 
 
-# The sibling escape hatch one layer down: REPRO_FORCE_CLOSED_FORM=0
-# keeps the cohort engine but event-steps every thread individually
-# (no class compression, convoy-drain replication or closed-form
-# regions).  Defined next to the engine; re-exported here so harness
-# code can treat both knobs as one surface.
-from repro.des.batch import (  # noqa: E402  (re-export)
-    FORCE_CLOSED_FORM_ENV,
-    closed_form_enabled,
-)
-
-
 ItemSignature = tuple[str, Optional[str], bool]
 
 

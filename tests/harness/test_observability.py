@@ -43,7 +43,8 @@ def test_epoch_covers_every_outcome_determining_module():
     # audit gap: these files change outcomes but were easy to miss
     for must_cover in ("des/batch.py", "des/simulator.py",
                       "des/resources.py", "des/sync.py",
-                      "machines/cohort.py", "machines/machine.py",
+                      "machines/cohort.py", "machines/driver.py",
+                      "machines/machine.py",
                       "mta/cohort.py", "mta/machine.py",
                       "obs/metrics.py", "workload/cohort.py"):
         assert must_cover in files, must_cover

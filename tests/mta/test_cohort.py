@@ -119,7 +119,7 @@ def test_wide_regions_match_des(monkeypatch):
     # the registry's widest regions, up to 147 entities per batch
     # server at this scale after class compression.  No other tier-1
     # job puts more than 96 on one server.
-    import repro.mta.cohort as mta_cohort
+    import repro.machines.driver as driver
     from repro.des.batch import CohortEngine
     from repro.harness import BenchmarkData
 
@@ -130,7 +130,7 @@ def test_wide_regions_match_des(monkeypatch):
             super().__init__(*args, **kwargs)
             widths.append(self.stats["classes"])
 
-    monkeypatch.setattr(mta_cohort, "CohortEngine", RecordingEngine)
+    monkeypatch.setattr(driver, "CohortEngine", RecordingEngine)
     job = BenchmarkData(threat_scale=0.01).threat_chunked_job(1024)
     des, coh = run_both(job, n_proc=16)
     assert_equivalent(des, coh)

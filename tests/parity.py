@@ -15,13 +15,9 @@ positions of the cohort engine's ``REPRO_FORCE_CLOSED_FORM`` escape
 hatch (closed-form layers on and off).
 """
 
-from repro.harness.bench import REL_TOL
+from repro.harness.bench import REL_TOL, rel_err
 from repro.machines import ConventionalMachine, cmt, exemplar
 from repro.mta import MtaMachine, mta
-
-
-def rel_err(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
 def run_both_mta(job, n_proc=2):
