@@ -44,6 +44,8 @@ invocations skip already-simulated runs.  Every ``all`` / ``report`` /
 directory under ``.repro_runs/`` (override with ``REPRO_RUNS_DIR``;
 disable with ``REPRO_NO_RUNS=1``) -- manifest, per-cell JSONL stream
 and machine-readable report -- indexed into SQLite for ``repro runs``.
+``REPRO_ENGINE=closed|stepped|des`` picks the engine (default
+``closed``); all three produce the same tables.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from repro.harness.calibration import (
     DEFAULT_TERRAIN_SCALE,
     DEFAULT_THREAT_SCALE,
 )
+from repro.workload.cohort import resolve_engine
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -561,10 +564,15 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_cache(args.action)
     if args.command == "runs":
         return _cmd_runs(args)
-    if args.command == "serve":
-        return _cmd_serve(args, argv)
     if args.command == "load":
         return _cmd_load(args)
+    try:
+        resolve_engine()    # a bad engine setting fails before any run
+    except ValueError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
+    if args.command == "serve":
+        return _cmd_serve(args, argv)
 
     from repro.harness.rundir import run_scope
 

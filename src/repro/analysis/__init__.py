@@ -27,7 +27,6 @@ this package turns those records into verdicts:
 from repro.analysis.hb import (
     analyze_job,
     analyze_job_both,
-    current_engine,
     verify_engine_parity,
 )
 from repro.analysis.monitor import SyncMonitor, monitoring
@@ -46,7 +45,6 @@ __all__ = [
     "SyncMonitor",
     "analyze_job",
     "analyze_job_both",
-    "current_engine",
     "monitoring",
     "render_report",
     "report_to_dict",

@@ -47,7 +47,11 @@ from typing import Iterable, Optional
 
 from repro.analysis.facts import facts_for_job
 from repro.analysis.report import Finding, JobReport
-from repro.workload.cohort import cohort_enabled, region_cohort_signature
+from repro.workload.cohort import (
+    ENGINES,
+    region_cohort_signature,
+    resolve_engine,
+)
 from repro.workload.ops import SharedAccess
 from repro.workload.task import (
     Critical,
@@ -212,16 +216,13 @@ def _region_findings(job_name: str, region_label: str, region,
     return findings, suppressed
 
 
-def current_engine() -> str:
-    """The engine the simulators would use right now (env-controlled)."""
-    return "cohort" if cohort_enabled() else "des"
-
-
 def analyze_job(job: Job, engine: Optional[str] = None) -> JobReport:
-    """Race/hazard verdict for one job under one engine's extraction."""
+    """Race/hazard verdict for one job under one engine's extraction:
+    the DES walk for ``des``, the cohort walk for ``cohort`` or either
+    cohort engine (``closed``, ``stepped``)."""
     if engine is None:
-        engine = current_engine()
-    if engine not in ("des", "cohort"):
+        engine = resolve_engine()
+    if engine != "cohort" and engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     extract = _events_des if engine == "des" else _events_cohort
     facts = facts_for_job(job.name)

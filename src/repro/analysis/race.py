@@ -18,7 +18,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.hb import analyze_job, analyze_job_both, current_engine
+from repro.analysis.hb import analyze_job, analyze_job_both
 from repro.analysis.report import (
     JobReport,
     RACE_REPORT_SCHEMA,
@@ -27,6 +27,7 @@ from repro.analysis.report import (
 )
 from repro.analysis.targets import experiment_jobs
 from repro.harness.runner import BenchmarkData
+from repro.workload.cohort import resolve_engine
 
 
 def _analyze_experiments(ids: Sequence[str], data: BenchmarkData,
@@ -67,7 +68,7 @@ def run_race(ids: Sequence[str], data: BenchmarkData, *,
     from repro.harness.registry import EXPERIMENT_IDS, list_experiments
 
     if engine is None:
-        engine = current_engine()
+        engine = resolve_engine()
     if run_all:
         ids = list(EXPERIMENT_IDS)
     known = set(list_experiments())

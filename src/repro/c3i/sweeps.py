@@ -213,30 +213,29 @@ def expansion_manifest(sweep: SweepDef) -> dict:
 def _verify_cell(cell: dict) -> Optional[str]:
     """Run one cell's job on both engines directly (cache bypassed);
     returns a description of the parity violation, or None."""
-    from repro.harness.bench import REL_TOL, rel_err
+    from repro.harness.bench import parity_problem
     from repro.harness.runner import BenchmarkData
     from repro.machines.machine import ConventionalMachine
     from repro.mta.machine import MtaMachine
 
-    def machine(use_cohort: bool):
+    def machine(engine: Optional[str]):
         if cell["kind"] == "mta":
             return MtaMachine(cell["spec"],
                               slices_per_phase=cell["slices_per_phase"],
-                              use_cohort=use_cohort)
+                              engine=engine)
         return ConventionalMachine(
             cell["spec"], slices_per_phase=cell["slices_per_phase"],
             exploit_fine_grained=cell["exploit_fine_grained"],
-            use_cohort=use_cohort)
+            engine=engine)
 
     data = BenchmarkData(threat_scale=cell["threat_scale"],
                          terrain_scale=cell["terrain_scale"],
                          seed_offset=cell["seed_offset"])
     job = data.job_from_recipe(cell["job_recipe"])
-    des = machine(False).run(job)
-    coh = machine(True).run(job)
-    if rel_err(des.seconds, coh.seconds) > REL_TOL:
-        return (f"{cell['unit']} on {des.machine}: DES {des.seconds!r} "
-                f"!= cohort {coh.seconds!r}")
+    des = machine("des").run(job)
+    problem = parity_problem(des, machine(None).run(job))
+    if problem is not None:
+        return f"{cell['unit']} on {des.machine}: {problem}"
     return None
 
 

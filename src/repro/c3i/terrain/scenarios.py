@@ -9,7 +9,6 @@ region cells).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,9 +54,6 @@ class TerrainScenario:
         """Cell-count multiplier to paper scale (regions scale with the
         grid, so work goes as the square of the linear scale)."""
         return (FULL_SCALE.grid_n / self.grid_n) ** 2
-
-    def region_cells_total(self) -> int:
-        return sum(math.pi * t.range_cells ** 2 for t in self.threats)
 
 
 @lru_cache(maxsize=64)

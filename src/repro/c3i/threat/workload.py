@@ -92,10 +92,6 @@ class FullScaleThreatStats:
         return len(self.steps)
 
     @property
-    def steps_total(self) -> float:
-        return sum(self.steps)
-
-    @property
     def intervals_total(self) -> float:
         return sum(self.intervals)
 

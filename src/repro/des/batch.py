@@ -25,7 +25,7 @@ state and no processes, events, or callbacks at all:
   order, matching the FIFO insertion order of ``FairShareServer._jobs``.
 
 On top of the event-stepped loop sit three *closed-form* layers (all
-disabled together by ``REPRO_FORCE_CLOSED_FORM=0``):
+disabled together by ``REPRO_ENGINE=stepped``):
 
 * **Class compression** -- threads whose compiled programs are
   *exactly* identical (same segments, same home server) stay in
@@ -68,13 +68,15 @@ sequential water-fill chain, or ``k * delta`` instead of ``k`` chained
 additions), so event times can differ by a few ulps.  Those
 differences are absorbed by the completion-batching tolerance the DES
 server itself applies; end-to-end simulated seconds agree to well
-within 1e-9 relative (asserted for every registry experiment by
-``repro bench --verify``).
+within 1e-9 relative (checked for every registry experiment by
+``repro bench --verify``).  One registry run is a known exception:
+on the 2-processor MTA, the 1000-thread sync-variable Threat job's
+convoy drains across the two per-processor classes end 1e-7 relative
+away from DES, while ``REPRO_ENGINE=stepped`` matches DES exactly.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
@@ -86,18 +88,6 @@ from repro.des.errors import DesError
 #: completion tolerance -- must match ``repro.des.resources._EPS``
 _EPS = 1e-9
 _INF = float("inf")
-
-#: Environment escape hatch mirroring ``REPRO_NO_COHORT``: set to "0"
-#: to disable the closed-form layers (class compression, convoy-drain
-#: replication, single-class regions) and event-step every thread
-#: individually inside the cohort engine.
-FORCE_CLOSED_FORM_ENV = "REPRO_FORCE_CLOSED_FORM"
-
-
-def closed_form_enabled() -> bool:
-    """Whether the engine's closed-form layers are enabled (default yes)."""
-    return os.environ.get(FORCE_CLOSED_FORM_ENV, "") != "0"
-
 
 # ----------------------------------------------------------------------
 # segment opcodes (a compiled thread program is a list of tuples whose
@@ -473,17 +463,15 @@ class CohortEngine:
         loop over ``Store.try_get``.
     closed_form:
         Enable the closed-form layers (class compression, convoy-drain
-        replication, single-class regions).  ``None`` reads the
-        ``REPRO_FORCE_CLOSED_FORM`` environment escape hatch.
+        replication, single-class regions).  The machine driver passes
+        ``False`` under ``REPRO_ENGINE=stepped``.
     """
 
     def __init__(self, start_time: float, capacities: Sequence[float],
                  programs: Sequence[list],
                  own_sids: Optional[Sequence[int]] = None,
                  queue: Optional[deque] = None,
-                 closed_form: Optional[bool] = None):
-        if closed_form is None:
-            closed_form = closed_form_enabled()
+                 closed_form: bool = True):
         self.closed_form = closed_form
         n = len(programs)
         self.n_members = n

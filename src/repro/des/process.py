@@ -60,11 +60,6 @@ class Process(Event):
                   (sim.now, 0, sim._seq, _internal_event(sim, self._resume)))
         sim._seq += 1
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self.triggered
-
     def interrupt(self, cause: object = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 

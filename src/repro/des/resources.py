@@ -212,21 +212,6 @@ class FairShareServer:
     def n_active(self) -> int:
         return len(self._jobs)
 
-    def current_rate(self) -> float:
-        """Equal-share per-job rate right now (0 if idle).
-
-        With heterogeneous per-job caps the true allocation is computed
-        by :meth:`_allocate`; this method reports the uncapped equal
-        share and is kept for symmetric-job inspection.
-        """
-        n = len(self._jobs)
-        if n == 0:
-            return 0.0
-        rate = self.capacity / n
-        if self.per_customer_cap is not None:
-            rate = min(rate, self.per_customer_cap)
-        return rate
-
     def submit(self, demand: float, cap: Optional[float] = None) -> Event:
         """Enter a job with ``demand`` work units; returns its done-event.
 

@@ -33,10 +33,6 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def n_waiting_getters(self) -> int:
-        return len(self._getters)
-
     def put(self, item: object) -> Event:
         ev = Event(self.sim)
         if self._getters:

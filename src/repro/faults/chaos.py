@@ -29,7 +29,7 @@ from repro.machines import cmt, exemplar
 from repro.machines.machine import ConventionalMachine
 from repro.mta import mta
 from repro.mta.machine import MtaMachine
-from repro.workload.cohort import cohort_enabled
+from repro.workload.cohort import resolve_engine
 from repro.workload.task import Job
 
 SCHEMA = "repro-chaos-report/v1"
@@ -144,7 +144,7 @@ def chaos_report(experiment_ids: list[str], data: BenchmarkData,
         experiments.append({"experiment": eid, "jobs": entries})
     return {
         "schema": SCHEMA,
-        "engine": "cohort" if cohort_enabled() else "des",
+        "engine": resolve_engine(),
         "seed": seed,
         "plan": plan.to_payload(),
         "threat_scale": data.threat_scale,

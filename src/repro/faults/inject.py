@@ -145,6 +145,11 @@ class FaultedRun:
     n_segments: int
     stats: dict[str, float]
 
+    @property
+    def lock_wait_seconds(self) -> float:
+        """Lock wait summed over the segments, like ``seconds``."""
+        return self.stats.get("lock_wait_seconds", 0.0)
+
 
 def _merge_stats(totals: dict[str, float], stats: dict[str, float]) -> None:
     for k, v in stats.items():
@@ -184,7 +189,7 @@ def _run_segments(job: Job, schedule: tuple[ScheduledFault, ...],
 
 def run_faulted_mta(spec: MtaSpec, job: Job, plan: FaultPlan, *,
                     slices_per_phase: int = 8,
-                    use_cohort: Optional[bool] = None) -> FaultedRun:
+                    engine: Optional[str] = None) -> FaultedRun:
     """Run ``job`` on the MTA under ``plan``'s faults."""
     schedule = plan.schedule(job.name, len(job.steps), spec.name)
     applied = tuple(f for f in schedule if f.kind in MTA_KINDS)
@@ -192,13 +197,13 @@ def run_faulted_mta(spec: MtaSpec, job: Job, plan: FaultPlan, *,
         job, schedule, applied, spec.name,
         lambda active: MtaMachine(derate_mta(spec, active),
                                   slices_per_phase=slices_per_phase,
-                                  use_cohort=use_cohort))
+                                  engine=engine))
 
 
 def run_faulted_conventional(spec: MachineSpec, job: Job,
                              plan: FaultPlan, *,
                              slices_per_phase: int = 16,
-                             use_cohort: Optional[bool] = None
+                             engine: Optional[str] = None
                              ) -> FaultedRun:
     """Run ``job`` on a conventional machine under ``plan``'s faults."""
     schedule = plan.schedule(job.name, len(job.steps), spec.name)
@@ -208,4 +213,4 @@ def run_faulted_conventional(spec: MachineSpec, job: Job,
         lambda active: ConventionalMachine(
             derate_conventional(spec, active),
             slices_per_phase=slices_per_phase,
-            use_cohort=use_cohort))
+            engine=engine))

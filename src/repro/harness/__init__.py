@@ -21,7 +21,6 @@ from repro.harness.experiment import ExperimentResult, Row, ShapeCheck
 from repro.harness.registry import (
     EXPERIMENT_IDS,
     list_experiments,
-    run_all_experiments,
     run_experiment,
 )
 from repro.harness.runner import BenchmarkData, default_data
@@ -38,6 +37,5 @@ __all__ = [
     "list_experiments",
     "render_comparison_table",
     "render_speedup_figure",
-    "run_all_experiments",
     "run_experiment",
 ]

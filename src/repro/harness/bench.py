@@ -4,14 +4,15 @@ Two modes:
 
 * The default re-measures the kernel benchmark rows recorded in
   ``BENCH_harness.json``: each row is one (machine, job) pair run on
-  both the cohort path and the pure-DES path, best-of-N wall clock,
-  with the simulated seconds of the two paths required to agree to
-  within 1e-9 relative.
+  the ``REPRO_ENGINE`` engine (default ``closed``) and on pure DES,
+  best-of-N wall clock, and the two runs must satisfy the parity
+  contract of :func:`parity_problem`.
 
-* ``--verify`` runs every registry experiment twice -- cohort enabled
-  and ``REPRO_NO_COHORT=1`` -- with the result cache disabled, and
-  asserts every reported row agrees to within 1e-9 relative.  This is
-  the end-to-end equivalence gate the cohort work is held to.
+* ``--verify`` runs every registry experiment twice -- on the
+  ``REPRO_ENGINE`` engine and with ``REPRO_ENGINE=des`` -- with the
+  result cache disabled, and asserts every reported row agrees to
+  within 1e-9 relative.  This is the end-to-end equivalence gate the
+  cohort work is held to.
 
 Exit status is non-zero if any equivalence check fails, so both modes
 are CI-ready.
@@ -25,9 +26,9 @@ import time
 from typing import Callable, Optional
 
 from repro.harness.runner import BenchmarkData
-from repro.workload.cohort import NO_COHORT_ENV
+from repro.workload.cohort import ENGINE_ENV, resolve_engine
 
-#: relative tolerance on simulated seconds, cohort vs DES
+#: relative tolerance on simulated seconds, fast engine vs DES
 REL_TOL = 1e-9
 
 #: the canonical kernel rows; each builds (machine, job) from data.
@@ -38,33 +39,33 @@ def _rows() -> dict[str, Callable]:
     from repro.mta import MtaMachine, mta
 
     return {
-        "exemplar16-threat16": lambda data, uc: (
-            ConventionalMachine(exemplar(16), use_cohort=uc),
+        "exemplar16-threat16": lambda data, engine: (
+            ConventionalMachine(exemplar(16), engine=engine),
             data.threat_chunked_job(16)),
-        "exemplar16-terrain-bl8": lambda data, uc: (
-            ConventionalMachine(exemplar(16), use_cohort=uc),
+        "exemplar16-terrain-bl8": lambda data, engine: (
+            ConventionalMachine(exemplar(16), engine=engine),
             data.terrain_blocked_job(8)),
-        "mta1-threat256": lambda data, uc: (
-            MtaMachine(mta(1), use_cohort=uc),
+        "mta1-threat256": lambda data, engine: (
+            MtaMachine(mta(1), engine=engine),
             data.threat_chunked_job(256, thread_kind="hw")),
-        "mta2-threat256": lambda data, uc: (
-            MtaMachine(mta(2), use_cohort=uc),
+        "mta2-threat256": lambda data, engine: (
+            MtaMachine(mta(2), engine=engine),
             data.threat_chunked_job(256, thread_kind="hw")),
         # lock-convoy-dominated: every fine-grained thread appends its
         # result under one lock, so the region is one long convoy
-        "exemplar16-threatfg1000": lambda data, uc: (
-            ConventionalMachine(exemplar(16), use_cohort=uc),
+        "exemplar16-threatfg1000": lambda data, engine: (
+            ConventionalMachine(exemplar(16), engine=engine),
             data.threat_finegrained_job()),
         # barrier-dominated: 1024 chunks over 128 hw streams, lock-free
         # lockstep phases joined only at the region barrier
-        "mta1-threat1024": lambda data, uc: (
-            MtaMachine(mta(1), use_cohort=uc),
+        "mta1-threat1024": lambda data, engine: (
+            MtaMachine(mta(1), engine=engine),
             data.threat_chunked_job(1024, thread_kind="hw")),
         # work-queue-dominated: 16 workers pull threat items off a
         # shared queue (the terrain merge locks ride along), exercising
         # the event-stepped two-server loop rather than class compression
-        "exemplar16-terrain-bl16": lambda data, uc: (
-            ConventionalMachine(exemplar(16), use_cohort=uc),
+        "exemplar16-terrain-bl16": lambda data, engine: (
+            ConventionalMachine(exemplar(16), engine=engine),
             data.terrain_blocked_job(16)),
     }
 
@@ -73,6 +74,24 @@ def rel_err(a: float, b: float) -> float:
     """``|a - b|`` relative to the larger magnitude; the parity check
     is ``rel_err(...) <= REL_TOL``."""
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def parity_problem(des, fast) -> Optional[str]:
+    """The engine-parity contract for one job run on pure DES and on a
+    fast engine; returns how the pair breaks it, or None.
+
+    ``seconds`` must agree within ``REL_TOL`` relative and
+    ``lock_wait_seconds`` within 1e-6 relative (1e-9 absolute near
+    zero).  Scheduling diagnostics (``des_*`` / ``cohort_*`` region
+    counters, convoy histograms) are engine attribution and sit
+    outside the contract.
+    """
+    if rel_err(fast.seconds, des.seconds) > REL_TOL:
+        return f"seconds: DES {des.seconds!r} != fast {fast.seconds!r}"
+    wait_d, wait_f = des.lock_wait_seconds, fast.lock_wait_seconds
+    if abs(wait_f - wait_d) > max(1e-6 * abs(wait_d), 1e-9):
+        return f"lock_wait_seconds: DES {wait_d!r} != fast {wait_f!r}"
+    return None
 
 
 def _best_of(fn: Callable[[], object], repeat: int) -> tuple[float, object]:
@@ -106,17 +125,18 @@ def run_kernel_bench(data: BenchmarkData, repeat: int = 3,
     status = 0
     payload = {}
     for name, build in _rows().items():
-        machine_d, job = build(data, False)
+        machine_d, job = build(data, "des")
         wall_d, res_d = _best_of(lambda: machine_d.run(job), repeat)
-        machine_c, _ = build(data, True)
+        machine_c, _ = build(data, None)
         wall_c, res_c = _best_of(lambda: machine_c.run(job), repeat)
         rel = rel_err(res_c.seconds, res_d.seconds)
-        ok = rel <= REL_TOL
+        problem = parity_problem(res_d, res_c)
+        ok = problem is None
         if not ok:
             status = 1
         print(f"{name:24s} {wall_d:9.4f} {wall_c:9.4f} "
               f"{wall_d / wall_c:7.2f}x {rel:9.2e}"
-              f"{'' if ok else '  MISMATCH'}")
+              f"{'' if ok else f'  MISMATCH {problem}'}")
         payload[name] = {
             "wall_des_s": round(wall_d, 4),
             "wall_cohort_s": round(wall_c, 4),
@@ -145,18 +165,21 @@ def run_verify(data: BenchmarkData, run=None) -> int:
     """Cohort-vs-DES equivalence over every registry experiment."""
     from repro.harness.registry import EXPERIMENT_IDS, run_experiment
 
-    def run_all_rows(no_cohort: bool) -> dict[tuple[str, str], float]:
+    fast_engine = resolve_engine()
+
+    def run_all_rows(engine: str) -> dict[tuple[str, str], float]:
         saved = {k: os.environ.get(k)
-                 for k in (NO_COHORT_ENV, "REPRO_NO_CACHE")}
+                 for k in (ENGINE_ENV, "REPRO_NO_CACHE")}
         os.environ["REPRO_NO_CACHE"] = "1"
-        if no_cohort:
-            os.environ[NO_COHORT_ENV] = "1"
-        else:
-            os.environ.pop(NO_COHORT_ENV, None)
+        os.environ[ENGINE_ENV] = engine
+        # fresh data per walk: the data's in-process simulation memo
+        # would otherwise replay the first walk's rows in the second
+        walk_data = BenchmarkData(data.threat_scale, data.terrain_scale,
+                                  data.seed_offset)
         try:
             rows = {}
             for eid in EXPERIMENT_IDS:
-                result = run_experiment(eid, data)
+                result = run_experiment(eid, walk_data)
                 for row in result.rows:
                     rows[(eid, row.label)] = row.simulated
             return rows
@@ -168,9 +191,9 @@ def run_verify(data: BenchmarkData, run=None) -> int:
                     os.environ[k] = v
 
     t0 = time.perf_counter()
-    cohort_rows = run_all_rows(no_cohort=False)
+    cohort_rows = run_all_rows(fast_engine)
     t1 = time.perf_counter()
-    des_rows = run_all_rows(no_cohort=True)
+    des_rows = run_all_rows("des")
     t2 = time.perf_counter()
 
     # an explicit check, not an assert: `python -O` strips asserts and
@@ -195,10 +218,10 @@ def run_verify(data: BenchmarkData, run=None) -> int:
     print(f"verified {len(cohort_rows)} rows across "
           f"{len(EXPERIMENT_IDS)} experiments: "
           f"{len(bad)} mismatches")
-    # the first walk pays all one-time real-kernel executions and job
-    # construction, so these walls are not a cohort-vs-DES comparison;
+    # each walk pays its own real-kernel executions and job
+    # construction, so these walls are not a clean engine comparison;
     # use the default `repro bench` mode for timing
-    print(f"cohort walk {t1 - t0:.1f}s, pure-DES walk {t2 - t1:.1f}s")
+    print(f"{fast_engine} walk {t1 - t0:.1f}s, pure-DES walk {t2 - t1:.1f}s")
     for (eid, label), sim_c, sim_d in bad:
         print(f"  MISMATCH {eid} / {label}: "
               f"cohort={sim_c!r} des={sim_d!r}")

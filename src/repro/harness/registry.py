@@ -619,11 +619,3 @@ def run_experiment(experiment_id: str,
     if data is None:
         data = default_data()
     return _EXPERIMENTS[key](data)
-
-
-def run_all_experiments(data: Optional[BenchmarkData] = None
-                        ) -> dict[str, ExperimentResult]:
-    """Run every experiment; returns results keyed by id."""
-    if data is None:
-        data = default_data()
-    return {eid: fn(data) for eid, fn in _EXPERIMENTS.items()}

@@ -265,13 +265,6 @@ def _encode(out: bytearray, obj) -> None:
             f"cannot fingerprint {type(obj).__qualname__}: {obj!r}")
 
 
-def _feed(h, obj) -> None:
-    """Feed the canonical byte encoding of ``obj`` into hasher ``h``."""
-    out = bytearray()
-    _encode(out, obj)
-    h.update(out)
-
-
 def fingerprint(obj) -> str:
     """sha-256 hex digest of the canonical encoding of ``obj``."""
     out = bytearray()

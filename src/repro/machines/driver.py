@@ -18,11 +18,14 @@ segment form of :mod:`repro.des.batch` and runs on one
 :class:`~repro.des.batch.CohortEngine` over the family's servers plus
 the region's FIFO locks.  Everything else runs as DES processes.
 
-Escape hatches.  Set ``REPRO_NO_COHORT=1`` (or pass
-``use_cohort=False``) to force every step through the DES path; the
-two agree on simulated seconds to well within 1e-9 relative.
-``REPRO_FORCE_CLOSED_FORM=0`` keeps the cohort engine but
-event-steps every thread (see :mod:`repro.des.batch`).
+Engine setting.  One setting picks the engine, resolved once per
+machine by :func:`repro.workload.cohort.resolve_engine`: the
+``engine=`` keyword, else ``REPRO_ENGINE``.  ``closed`` (the default)
+is the cohort fast path above with its closed-form layers;
+``stepped`` keeps the cohort engine but event-steps every thread (see
+:mod:`repro.des.batch`); ``des`` forces every step through the DES
+path.  All three agree on simulated seconds to well within 1e-9
+relative (:func:`repro.harness.bench.parity_problem`).
 
 A family supplies, on top of ``spec`` and ``slices_per_phase``:
 
@@ -55,7 +58,7 @@ from repro.obs.metrics import (
     merge_lock_summaries,
 )
 from repro.obs.trace import active_tracer
-from repro.workload.cohort import cohort_enabled
+from repro.workload.cohort import resolve_engine
 from repro.workload.describe import step_label
 from repro.workload.task import (
     Compute,
@@ -83,14 +86,16 @@ _ENGINE_KEYS = (("closed_form", "closed_form_regions"),
 class MachineDriver:
     """Runs a :class:`~repro.workload.Job` on a family's servers."""
 
-    def __init__(self, spec, slices_per_phase: int,
+    def __init__(self, spec, slices_per_phase: int, engine: str | None,
                  use_cohort: bool | None):
         if slices_per_phase < 1:
             raise ValueError("slices_per_phase must be >= 1")
         self.spec = spec
         self.slices_per_phase = slices_per_phase
-        self.use_cohort = (cohort_enabled() if use_cohort is None
-                           else bool(use_cohort))
+        # ``use_cohort=False`` is perfbench's DES-oracle spelling of
+        # ``engine="des"``
+        self.engine = resolve_engine("des" if use_cohort is False
+                                     else engine)
 
     def _home(self, i: int) -> int:
         """Thread ``i``'s home server id (the MTA pins round-robin)."""
@@ -136,6 +141,7 @@ class MachineDriver:
         # timeout folds the accumulated span back into the DES clock
         # around any step that needs real events.
         cursor = sim.now
+        fast = self.engine != "des"
         for i, step in enumerate(job.steps):
             label = step_label(step, i)
             serial = isinstance(step, SerialStep)
@@ -146,7 +152,7 @@ class MachineDriver:
                 peak[0] = max(peak[0], n)
             else:  # pragma: no cover - Job validates step types
                 raise TypeError(f"unknown job step {step!r}")
-            if self.use_cohort and (serial or self.region_eligible(step)):
+            if fast and (serial or self.region_eligible(step)):
                 t0 = cursor
                 if serial:
                     cursor = self.run_serial_phase(step.phase, cursor,
@@ -264,7 +270,7 @@ class MachineDriver:
         eng = CohortEngine(
             t, [s.capacity for s in servers], programs,
             own_sids=[self._home(i) for i in range(step.n_threads)],
-            queue=queue)
+            queue=queue, closed_form=self.engine == "closed")
         end = eng.run()
         for server, batch in zip(servers, eng.servers):
             server.busy_time += batch.busy_time

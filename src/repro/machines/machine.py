@@ -73,8 +73,9 @@ class ConventionalMachine(MachineDriver):
 
     def __init__(self, spec: MachineSpec, slices_per_phase: int = 16,
                  exploit_fine_grained: bool = False,
+                 engine: str | None = None,
                  use_cohort: bool | None = None):
-        super().__init__(spec, slices_per_phase, use_cohort)
+        super().__init__(spec, slices_per_phase, engine, use_cohort)
         self.exploit_fine_grained = exploit_fine_grained
         self.clock = self.sync_cap = spec.core.clock_hz
 

@@ -71,8 +71,9 @@ class MtaMachine(MachineDriver):
     compile_phase = cohort.compile_phase
 
     def __init__(self, spec: MtaSpec, slices_per_phase: int = 8,
+                 engine: str | None = None,
                  use_cohort: bool | None = None):
-        super().__init__(spec, slices_per_phase, use_cohort)
+        super().__init__(spec, slices_per_phase, engine, use_cohort)
         # creation is not memory-bound: the creating stream retires it
         # at full pipeline rate; a full/empty access is one memory op
         self.clock = spec.clock_hz

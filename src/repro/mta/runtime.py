@@ -197,6 +197,3 @@ class TeraRuntime:
                 p.value  # re-raise
         return self.now_cycles
 
-
-#: Backwards-compatible alias used by some callers/builders.
-ParallelForBuilder = TeraRuntime

@@ -39,7 +39,6 @@ import json
 import random
 import socket
 import time
-from typing import Optional
 
 from repro.obs.metrics import quantile
 from repro.service import protocol

@@ -44,8 +44,6 @@ from repro.workload.builder import (
     single_thread_job,
 )
 from repro.workload.cohort import (
-    NO_COHORT_ENV,
-    cohort_enabled,
     item_signature,
     program_signature,
     region_cohort_signature,
@@ -62,7 +60,6 @@ __all__ = [
     "Job",
     "JobBuilder",
     "MemoryProfile",
-    "NO_COHORT_ENV",
     "OpClass",
     "OpCounter",
     "OpCounts",
@@ -75,7 +72,6 @@ __all__ = [
     "WORD_BYTES",
     "WorkItem",
     "WorkQueueRegion",
-    "cohort_enabled",
     "describe_job",
     "item_signature",
     "job_summary",

@@ -17,6 +17,10 @@ critical section, and whether each phase carries internal parallelism.
 Phase magnitudes (op counts, footprints, trip counts) are deliberately
 excluded -- cohort threads may be arbitrarily imbalanced, only their
 shape must match.
+
+The module also resolves the one engine setting
+(:func:`resolve_engine`) that decides whether cohorts take the fast
+path at all.
 """
 
 from __future__ import annotations
@@ -32,14 +36,31 @@ from repro.workload.task import (
     WorkQueueRegion,
 )
 
-#: Environment escape hatch: set to anything but ""/"0" to force every
-#: region and serial step down the pure-DES path.
-NO_COHORT_ENV = "REPRO_NO_COHORT"
+#: The engines that run the one timing model: the cohort engine with
+#: its closed-form layers (the default), the cohort engine event-
+#: stepping every thread, and pure DES (the oracle).
+ENGINES = ("closed", "stepped", "des")
+#: the one environment setting that picks among :data:`ENGINES`
+ENGINE_ENV = "REPRO_ENGINE"
+#: retired switches, rejected so a stale setting cannot silently run
+#: the default engine
+_RETIRED_ENV = ("REPRO_NO_COHORT", "REPRO_FORCE_CLOSED_FORM")
 
 
-def cohort_enabled() -> bool:
-    """Whether the cohort fast path is enabled (default: yes)."""
-    return os.environ.get(NO_COHORT_ENV, "") in ("", "0")
+def resolve_engine(engine: Optional[str] = None) -> str:
+    """The engine to run: ``engine`` if given, else ``REPRO_ENGINE``
+    (unset or empty means ``closed``).  Raises ValueError on an unknown
+    value or a retired switch in the environment."""
+    for name in _RETIRED_ENV:
+        if name in os.environ:
+            raise ValueError(f"{name} is retired; set {ENGINE_ENV}="
+                             f"{'|'.join(ENGINES)} instead")
+    if engine is None:
+        engine = os.environ.get(ENGINE_ENV) or "closed"
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r} ({ENGINE_ENV} must "
+                         f"be one of {', '.join(ENGINES)})")
+    return engine
 
 
 ItemSignature = tuple[str, Optional[str], bool]
@@ -105,9 +126,3 @@ def region_phases(region: Union[ParallelRegion, WorkQueueRegion]):
         for item in region.items:
             for it in item.items:
                 yield it.phase
-
-
-def max_region_parallelism(
-        region: Union[ParallelRegion, WorkQueueRegion]) -> float:
-    """Largest internal phase parallelism inside the region."""
-    return max((p.parallelism for p in region_phases(region)), default=1.0)

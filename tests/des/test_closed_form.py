@@ -10,8 +10,6 @@ the same :class:`CohortEngine` and compare everything the machine
 models consume.
 """
 
-import os
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,11 +19,11 @@ from repro.des.batch import (
     SLEEP,
     SRV,
     CohortEngine,
-    FORCE_CLOSED_FORM_ENV,
     ScalarBatchServer,
-    closed_form_enabled,
     convoy_schedule,
 )
+from repro.machines import ConventionalMachine, exemplar
+from repro.workload.cohort import ENGINE_ENV, resolve_engine
 
 RTOL = 1e-12
 
@@ -160,18 +158,18 @@ def test_event_stepped_engine_reports_no_closed_form():
 
 
 def test_force_closed_form_env_gate(monkeypatch):
-    monkeypatch.delenv(FORCE_CLOSED_FORM_ENV, raising=False)
-    assert closed_form_enabled()
-    monkeypatch.setenv(FORCE_CLOSED_FORM_ENV, "0")
-    assert not closed_form_enabled()
-    eng = CohortEngine(0.0, [10.0], [[(SRV, 0, 1.0, None)]] * 4)
-    assert not eng.closed_form
-    assert eng.stats["classes"] == 4
-    monkeypatch.setenv(FORCE_CLOSED_FORM_ENV, "1")
-    assert closed_form_enabled()
+    """``REPRO_ENGINE`` reaches the engine only through the machine
+    driver, which passes ``closed_form``; the engine never reads it."""
+    monkeypatch.setenv(ENGINE_ENV, "stepped")
+    assert resolve_engine() == "stepped"
+    assert ConventionalMachine(exemplar(2)).engine == "stepped"
     eng = CohortEngine(0.0, [10.0], [[(SRV, 0, 1.0, None)]] * 4)
     assert eng.closed_form
     assert eng.stats["classes"] == 1
+    eng = CohortEngine(0.0, [10.0], [[(SRV, 0, 1.0, None)]] * 4,
+                       closed_form=False)
+    assert not eng.closed_form
+    assert eng.stats["classes"] == 4
 
 
 def test_convoy_schedule_closed_form():
@@ -213,5 +211,7 @@ def test_scalar_frontier_single_completion_path():
     assert order == [0, 1, 2, 3]
 
 
-def test_closed_form_default_is_on():
-    assert os.environ.get(FORCE_CLOSED_FORM_ENV, "") != "0"
+def test_closed_form_default_is_on(monkeypatch):
+    monkeypatch.delenv(ENGINE_ENV, raising=False)
+    assert resolve_engine() == "closed"
+    assert CohortEngine(0.0, [10.0], [[(SRV, 0, 1.0, None)]]).closed_form

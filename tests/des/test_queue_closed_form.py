@@ -17,7 +17,6 @@ everything the machine models consume.  Demands are drawn on a coarse
 exactness envelope.
 """
 
-import os
 from collections import deque
 
 from hypothesis import given, settings, strategies as st
@@ -28,8 +27,8 @@ from repro.des.batch import (
     SLEEP,
     SRV,
     CohortEngine,
-    FORCE_CLOSED_FORM_ENV,
 )
+from repro.workload.cohort import ENGINE_ENV, resolve_engine
 
 RTOL = 1e-12
 
@@ -176,5 +175,7 @@ def test_queue_wait_statistics_cross_engine():
     assert lf.hist
 
 
-def test_closed_form_default_is_on():
-    assert os.environ.get(FORCE_CLOSED_FORM_ENV, "") != "0"
+def test_closed_form_default_is_on(monkeypatch):
+    monkeypatch.delenv(ENGINE_ENV, raising=False)
+    assert resolve_engine() == "closed"
+    assert CohortEngine(0.0, [10.0], [list(POP)], queue=deque()).closed_form

@@ -8,6 +8,7 @@ import pytest
 from repro.__main__ import main
 from repro.faults.chaos import SCHEMA, chaos_report, render_report
 from repro.harness import BenchmarkData
+from repro.workload.cohort import ENGINE_ENV, ENGINES
 
 SCALES = dict(threat_scale=0.01, terrain_scale=0.03)
 
@@ -20,7 +21,7 @@ def data():
 def test_chaos_report_payload_shape(data):
     payload = chaos_report(["ablation-issue"], data, seed=4)
     assert payload["schema"] == SCHEMA
-    assert payload["engine"] in ("des", "cohort")
+    assert payload["engine"] in ENGINES
     assert payload["seed"] == 4
     assert len(payload["experiments"]) == 1
     jobs = payload["experiments"][0]["jobs"]
@@ -37,12 +38,12 @@ def test_chaos_report_payload_shape(data):
 
 def test_chaos_payload_engine_independent(data, monkeypatch):
     """Byte-identical payloads (minus the engine tag) under DES and
-    cohort -- the CI chaos gate in miniature."""
-    monkeypatch.delenv("REPRO_NO_COHORT", raising=False)
+    the default closed-form engine -- the CI chaos gate in miniature."""
+    monkeypatch.delenv(ENGINE_ENV, raising=False)
     cohort = chaos_report(["ablation-issue"], data, seed=9)
-    monkeypatch.setenv("REPRO_NO_COHORT", "1")
+    monkeypatch.setenv(ENGINE_ENV, "des")
     des = chaos_report(["ablation-issue"], data, seed=9)
-    assert cohort.pop("engine") == "cohort"
+    assert cohort.pop("engine") == "closed"
     assert des.pop("engine") == "des"
     assert json.dumps(cohort, sort_keys=True) == \
         json.dumps(des, sort_keys=True)

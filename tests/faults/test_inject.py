@@ -16,7 +16,7 @@ from repro.machines.machine import ConventionalMachine
 from repro.mta import MtaMachine, mta
 from repro.workload import JobBuilder, OpCounts, ThreadProgramBuilder
 
-from tests.parity import REL_TOL
+from tests.parity import REL_TOL, assert_equivalent
 
 
 def small_job(n_steps=4, name="fault-demo"):
@@ -154,14 +154,13 @@ def test_faulted_engine_parity(faults):
     seconds agreement between the DES and cohort engines."""
     job = parallel_job()
     plan = FaultPlan.parse(faults, seed=5)
-    des = run_faulted_mta(mta(2), job, plan, use_cohort=False)
-    coh = run_faulted_mta(mta(2), job, plan, use_cohort=True)
+    des = run_faulted_mta(mta(2), job, plan, engine="des")
+    coh = run_faulted_mta(mta(2), job, plan, engine="closed")
     assert des.schedule == coh.schedule
-    assert abs(des.seconds - coh.seconds) <= REL_TOL * des.seconds
+    assert_equivalent(des, coh)
 
-    cdes = run_faulted_conventional(exemplar(4), job, plan,
-                                    use_cohort=False)
+    cdes = run_faulted_conventional(exemplar(4), job, plan, engine="des")
     ccoh = run_faulted_conventional(exemplar(4), job, plan,
-                                    use_cohort=True)
+                                    engine="closed")
     assert cdes.schedule == ccoh.schedule
-    assert abs(cdes.seconds - ccoh.seconds) <= REL_TOL * cdes.seconds
+    assert_equivalent(cdes, ccoh)

@@ -16,7 +16,7 @@ from repro.workload import (
     ThreadProgramBuilder,
     make_phase,
 )
-from repro.workload.cohort import NO_COHORT_ENV, cohort_enabled
+from repro.workload.cohort import ENGINE_ENV
 
 from tests.parity import REL_TOL, assert_equivalent, rel_err
 from tests.parity import run_both_conventional as run_both
@@ -168,20 +168,60 @@ def test_serial_steps_use_closed_form():
 
 
 # ----------------------------------------------------------------------
-# the escape hatch
+# the engine setting
 # ----------------------------------------------------------------------
 
-def test_no_cohort_env_disables_fast_path(monkeypatch):
-    monkeypatch.setenv(NO_COHORT_ENV, "1")
-    assert not cohort_enabled()
-    m = ConventionalMachine(exemplar(2))
-    assert m.use_cohort is False
-    monkeypatch.setenv(NO_COHORT_ENV, "0")
-    assert cohort_enabled()
-    assert ConventionalMachine(exemplar(2)).use_cohort is True
+def convoy_job():
+    """Eight identical threads appending under one lock: a convoy."""
+    threads = [ThreadProgramBuilder(f"t{i}")
+               .compute("scan", OpCounts(ialu=1e5, load=2e4))
+               .critical("append", "out", OpCounts(store=1e3, sync=1.0))
+               .build()
+               for i in range(8)]
+    return JobBuilder("convoy").parallel(threads).build()
 
 
-def test_explicit_flag_overrides_env(monkeypatch):
-    monkeypatch.setenv(NO_COHORT_ENV, "1")
-    m = ConventionalMachine(exemplar(2), use_cohort=True)
-    assert m.use_cohort is True
+#: id -> (environment, constructor keywords, the engine that must run;
+#: None when construction must raise)
+ENGINE_CASES = {
+    "unset": ({}, {}, "closed"),
+    "closed": ({ENGINE_ENV: "closed"}, {}, "closed"),
+    "stepped": ({ENGINE_ENV: "stepped"}, {}, "stepped"),
+    "des": ({ENGINE_ENV: "des"}, {}, "des"),
+    "keyword-overrides-env": ({ENGINE_ENV: "des"}, {"engine": "stepped"},
+                              "stepped"),
+    # perfbench's DES oracle spells engine="des" this way
+    "use-cohort-false": ({}, {"use_cohort": False}, "des"),
+    "unknown-value": ({ENGINE_ENV: "fast"}, {}, None),
+    "unknown-keyword": ({}, {"engine": "fast"}, None),
+    "retired-no-cohort": ({"REPRO_NO_COHORT": "1"}, {}, None),
+    "retired-force-closed-form": ({"REPRO_FORCE_CLOSED_FORM": "0"}, {},
+                                  None),
+}
+
+
+@pytest.mark.parametrize("case", list(ENGINE_CASES))
+def test_engine_setting(case, monkeypatch):
+    env, kwargs, expect = ENGINE_CASES[case]
+    monkeypatch.delenv(ENGINE_ENV, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if expect is None:
+        with pytest.raises(ValueError, match=ENGINE_ENV):
+            ConventionalMachine(exemplar(2), **kwargs)
+        return
+    machine = ConventionalMachine(exemplar(2), **kwargs)
+    assert machine.engine == expect
+    res = machine.run(convoy_job())
+    stats = res.stats
+    if expect == "des":
+        assert stats["cohort_regions"] == 0
+    elif expect == "stepped":
+        assert stats["cohort_regions"] > 0
+        assert stats["closed_form_regions"] == 0
+        assert stats["cohort_drained_grants"] == 0
+    else:
+        assert stats["closed_form_regions"] \
+            + stats["cohort_drained_grants"] > 0
+    assert res == ConventionalMachine(exemplar(2),
+                                      engine=expect).run(convoy_job())

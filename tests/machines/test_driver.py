@@ -24,12 +24,12 @@ CONVENTIONAL_LEAD = ["cpu_busy_time", "bus_busy_time", "lock_acquisitions"]
 MTA_LEAD = ["network_busy_time", "issue_busy_time_total"]
 
 FAMILIES = {
-    "mta2": (lambda uc: MtaMachine(mta(2), use_cohort=uc),
+    "mta2": (lambda engine: MtaMachine(mta(2), engine=engine),
              MTA_FIELDS, MTA_LEAD),
-    "exemplar4": (lambda uc: ConventionalMachine(exemplar(4),
-                                                 use_cohort=uc),
+    "exemplar4": (lambda engine: ConventionalMachine(exemplar(4),
+                                                     engine=engine),
                   CONVENTIONAL_FIELDS, CONVENTIONAL_LEAD),
-    "cmt64": (lambda uc: ConventionalMachine(cmt(64), use_cohort=uc),
+    "cmt64": (lambda engine: ConventionalMachine(cmt(64), engine=engine),
               CONVENTIONAL_FIELDS, CONVENTIONAL_LEAD),
 }
 
@@ -59,9 +59,9 @@ def test_result_layout_and_engine_coverage(family):
     make, fields, lead = FAMILIES[family]
     job = mixed_job()
     n_regions = len(job.steps) - 1
-    des = make(False).run(job)
-    coh = make(True).run(job)
-    for result in (des, coh):
+    des, stepped, coh = (make(engine).run(job)
+                         for engine in ("des", "stepped", "closed"))
+    for result in (des, stepped, coh):
         assert list(dataclasses.asdict(result)) == fields
         assert list(result.stats)[:len(lead)] == lead
         assert (result.stats["cohort_regions"]
@@ -69,9 +69,9 @@ def test_result_layout_and_engine_coverage(family):
         assert (result.stats["cohort_serial_steps"]
                 + result.stats["des_serial_steps"]) == 1
         assert result.n_threads_peak == 3
-    assert list(des.stats) == list(coh.stats)
-    # each flag really picks its engine for every step
-    assert des.stats["des_regions"] == coh.stats["cohort_regions"] \
-        == n_regions
+    assert list(des.stats) == list(stepped.stats) == list(coh.stats)
+    # each engine setting really picks its engine for every step
+    assert des.stats["des_regions"] == stepped.stats["cohort_regions"] \
+        == coh.stats["cohort_regions"] == n_regions
     assert des.stats["des_serial_steps"] == coh.stats[
         "cohort_serial_steps"] == 1

@@ -49,8 +49,8 @@ def homogeneous_job(n_threads=6, with_lock=True, balanced=False):
 
 def test_des_and_cohort_report_identical_metric_fields():
     job = homogeneous_job()
-    des = ConventionalMachine(exemplar(4), use_cohort=False).run(job)
-    coh = ConventionalMachine(exemplar(4), use_cohort=True).run(job)
+    des = ConventionalMachine(exemplar(4), engine="des").run(job)
+    coh = ConventionalMachine(exemplar(4), engine="closed").run(job)
     assert set(des.stats) == set(coh.stats)
     for field in OBS_FIELDS:
         assert rel_err(des.stats[field], coh.stats[field]) <= REL_TOL, \
@@ -63,8 +63,8 @@ def test_des_and_cohort_report_identical_metric_fields():
 
 def test_mta_engine_parity_on_homogeneous_region():
     job = homogeneous_job(n_threads=8)
-    des = MtaMachine(mta(1), use_cohort=False).run(job)
-    coh = MtaMachine(mta(1), use_cohort=True).run(job)
+    des = MtaMachine(mta(1), engine="des").run(job)
+    coh = MtaMachine(mta(1), engine="closed").run(job)
     assert set(des.stats) == set(coh.stats)
     for field in OBS_FIELDS:
         assert rel_err(des.stats[field], coh.stats[field]) <= REL_TOL, \
@@ -73,9 +73,9 @@ def test_mta_engine_parity_on_homogeneous_region():
 
 def test_region_walls_partition_the_run():
     job = homogeneous_job(with_lock=False)
-    for use_cohort in (False, True):
+    for engine in ("des", "closed"):
         res = ConventionalMachine(
-            exemplar(4), use_cohort=use_cohort).run(job)
+            exemplar(4), engine=engine).run(job)
         total = (res.stats["serial_wall_seconds"]
                  + res.stats["region_wall_seconds"])
         assert rel_err(total, res.seconds) <= 1e-9
@@ -85,9 +85,9 @@ def test_region_walls_partition_the_run():
 
 def test_contended_run_reports_convoy_stats():
     job = homogeneous_job(n_threads=8, balanced=True)
-    for use_cohort in (False, True):
+    for engine in ("des", "closed"):
         res = ConventionalMachine(
-            exemplar(2), use_cohort=use_cohort).run(job)
+            exemplar(2), engine=engine).run(job)
         assert res.stats["lock_wait_time"] > 0
         assert res.stats["lock_convoy_max"] >= 2
         hist_keys = [k for k in res.stats

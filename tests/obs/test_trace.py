@@ -105,7 +105,7 @@ def test_max_events_rejects_nonpositive():
 def test_machine_attaches_active_tracer_des_path():
     with tracing() as tr:
         assert active_tracer() is tr
-        ConventionalMachine(exemplar(4), use_cohort=False).run(small_job())
+        ConventionalMachine(exemplar(4), engine="des").run(small_job())
     assert active_tracer() is None
     kinds = {rec[0] for rec in tr.records}
     assert "start" in kinds and "region" in kinds
@@ -119,7 +119,7 @@ def test_machine_attaches_active_tracer_des_path():
 
 def test_machine_attaches_active_tracer_cohort_path():
     with tracing() as tr:
-        ConventionalMachine(exemplar(4), use_cohort=True).run(small_job())
+        ConventionalMachine(exemplar(4), engine="closed").run(small_job())
     regions = [r for r in tr.records if r[0] == "region"]
     # serial step + parallel region, both on the cohort engine
     assert {r[4][1] for r in regions} == {"cohort"}

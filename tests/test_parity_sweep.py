@@ -8,21 +8,20 @@ on -- the fault injector splits jobs and re-runs segments under
 whichever engine is active, so any job the registry can emit must
 agree across engines.
 
-The sweep runs twice: with the cohort engine's closed-form layers on
-(``REPRO_FORCE_CLOSED_FORM=1``, the default dispatch) and off (``=0``,
-every thread event-stepped individually), so both sides of the
-engine's internal dispatch decision stay covered by the same contract.
+The sweep covers both fast engines: ``closed`` (the default dispatch,
+closed-form layers on) and ``stepped`` (every thread event-stepped
+individually), so both sides of the cohort engine's internal dispatch
+decision stay covered by the same contract.
 
 Jobs shared between experiments (the registry collapses identical
-builders) are paired once and memoized by (mode, job name).
+builders) run once per engine, memoized by job name.  Pure DES never
+depends on the fast engine, so each job's DES side runs once and is
+compared with both fast engines.
 """
-
-import os
 
 import pytest
 
 from repro.analysis.targets import experiment_jobs
-from repro.des.batch import FORCE_CLOSED_FORM_ENV
 from repro.harness import EXPERIMENT_IDS, BenchmarkData
 
 from tests.parity import (
@@ -30,16 +29,21 @@ from tests.parity import (
     run_both_cmt,
     run_both_conventional,
     run_both_mta,
+    run_conventional,
+    run_mta,
 )
 
 pytestmark = pytest.mark.slow
 
 SCALES = dict(threat_scale=0.01, terrain_scale=0.03)
 
-#: the engine's closed-form escape hatch, both positions
-MODES = ("1", "0")
+#: the fast engines; the test ids keep the "1"/"0" of the closed-form
+#: on/off switch this pair replaced
+FAST_ENGINES = ("closed", "stepped")
+FAST_IDS = ("1", "0")
 
-_pair_cache = {}
+_des_cache = {}
+_fast_cache = {}
 
 
 @pytest.fixture(scope="module")
@@ -47,34 +51,39 @@ def data():
     return BenchmarkData(**SCALES)
 
 
-@pytest.fixture(params=MODES)
-def closed_form_mode(request, monkeypatch):
-    monkeypatch.setenv(FORCE_CLOSED_FORM_ENV, request.param)
+@pytest.fixture(params=FAST_ENGINES, ids=FAST_IDS)
+def engine(request):
     return request.param
 
 
-def _pairs(job, mode):
-    key = (mode, job.name)
-    if key not in _pair_cache:
-        _pair_cache[key] = (run_both_mta(job),
-                            run_both_conventional(job))
-    return _pair_cache[key]
+def _runs(job, engine):
+    """The job's MTA and Exemplar runs on ``engine``."""
+    return run_mta(job, engine), run_conventional(job, engine)
+
+
+def _pairs(job, engine):
+    """(DES, fast) pairs on the MTA and the Exemplar."""
+    if job.name not in _des_cache:
+        _des_cache[job.name] = _runs(job, "des")
+    key = (engine, job.name)
+    if key not in _fast_cache:
+        _fast_cache[key] = _runs(job, engine)
+    return zip(_des_cache[job.name], _fast_cache[key])
 
 
 @pytest.mark.parametrize("eid", sorted(EXPERIMENT_IDS))
-def test_experiment_parity_under_both_engines(eid, data, closed_form_mode):
-    assert os.environ[FORCE_CLOSED_FORM_ENV] == closed_form_mode
+def test_experiment_parity_under_both_engines(eid, data, engine):
     jobs = experiment_jobs(eid, data)
     for name, job in jobs.items():
-        (mta_des, mta_coh), (conv_des, conv_coh) = _pairs(
-            job, closed_form_mode)
-        try:
-            assert_equivalent(mta_des, mta_coh)
-            assert_equivalent(conv_des, conv_coh)
-        except AssertionError as exc:
-            raise AssertionError(
-                f"{eid}/{name} [closed_form={closed_form_mode}]: "
-                f"{exc}") from exc
+        for des, fast in _pairs(job, engine):
+            if engine == "stepped":     # the setting really reached it
+                assert fast.stats["closed_form_regions"] == 0, name
+                assert fast.stats["cohort_drained_grants"] == 0, name
+            try:
+                assert_equivalent(des, fast)
+            except AssertionError as exc:
+                raise AssertionError(
+                    f"{eid}/{name} [engine={engine}]: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -93,37 +102,37 @@ TASKBENCH_RECIPES = (
 
 
 @pytest.mark.parametrize("recipe", TASKBENCH_RECIPES)
-def test_taskbench_parity_on_all_families(recipe, closed_form_mode):
+def test_taskbench_parity_on_all_families(recipe, engine):
     """Every topology is *byte-identical* across engines on the MTA,
     the Exemplar SMP and the T3-4 CMT -- exact equality, stricter than
     the registry contract's REL_TOL."""
     from repro.taskbench import job_from_recipe
 
     job = job_from_recipe(recipe)
-    for family, (des, coh) in (("mta", run_both_mta(job)),
-                               ("exemplar", run_both_conventional(job)),
-                               ("cmt", run_both_cmt(job))):
+    for family, (des, coh) in (
+            ("mta", run_both_mta(job, engine=engine)),
+            ("exemplar", run_both_conventional(job, engine=engine)),
+            ("cmt", run_both_cmt(job, engine=engine))):
         assert coh.seconds == des.seconds, \
-            (recipe, family, closed_form_mode, des.seconds, coh.seconds)
+            (recipe, family, engine, des.seconds, coh.seconds)
         assert_equivalent(des, coh)
 
 
 @pytest.mark.parametrize("recipe", TASKBENCH_RECIPES)
 def test_taskbench_parity_under_no_cohort_hatch(recipe, monkeypatch):
-    """With REPRO_NO_COHORT set, default-constructed machines dispatch
-    to pure DES -- and still produce the exact cohort-path numbers."""
+    """With REPRO_ENGINE=des, default-constructed machines dispatch to
+    pure DES -- and still produce the exact cohort-path numbers."""
     from repro.machines import ConventionalMachine, cmt, exemplar
     from repro.mta import MtaMachine, mta
     from repro.taskbench import job_from_recipe
-    from repro.workload.cohort import NO_COHORT_ENV
+    from repro.workload.cohort import ENGINE_ENV
 
     job = job_from_recipe(recipe)
     cohort = [m.run(job).seconds
-              for m in (MtaMachine(mta(2), use_cohort=True),
-                        ConventionalMachine(exemplar(4),
-                                            use_cohort=True),
-                        ConventionalMachine(cmt(64), use_cohort=True))]
-    monkeypatch.setenv(NO_COHORT_ENV, "1")
+              for m in (MtaMachine(mta(2), engine="closed"),
+                        ConventionalMachine(exemplar(4), engine="closed"),
+                        ConventionalMachine(cmt(64), engine="closed"))]
+    monkeypatch.setenv(ENGINE_ENV, "des")
     hatched = [MtaMachine(mta(2)).run(job),
                ConventionalMachine(exemplar(4)).run(job),
                ConventionalMachine(cmt(64)).run(job)]
