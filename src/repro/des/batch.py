@@ -24,8 +24,9 @@ state and no processes, events, or callbacks at all:
   handoff wakes a waiter, and completions are processed in job-arrival
   order, matching the FIFO insertion order of ``FairShareServer._jobs``.
 
-On top of the event-stepped loop sit three *closed-form* layers (all
-disabled together by ``REPRO_ENGINE=stepped``):
+On top of the event-stepped loop sit two *closed-form* layers (both
+disabled, with the single-member replay below, by
+``REPRO_ENGINE=stepped``):
 
 * **Class compression** -- threads whose compiled programs are
   *exactly* identical (same segments, same home server) stay in
@@ -43,15 +44,13 @@ disabled together by ``REPRO_ENGINE=stepped``):
   remaining-work/busy/served state advances by ``k`` times the
   measured per-pass delta.  One watch measures a pass; any event that
   interleaves marks it foreign and the engine falls back to stepping.
+  Only a holder whose remaining program is a trailing critical
+  section (serve/sleep segments ending in its one ``REL``) is watched.
 
-* **Single-class regions** -- a region whose threads collapse to one
-  class and whose program is serve/sleep segments plus at most one
-  trailing critical section is scheduled entirely in closed form by
-  :meth:`CohortEngine._run_single_class`: equal-share fair-share
-  spans for the lockstep prefix, then a serialized convoy whose
-  completion-time array is ``t1 + arange(1, n+1) * delta``, with the
-  lock-wait statistics (``waits``, ``wait_time``, depth histogram)
-  computed arithmetically.
+A one-thread region skips the event loop: every segment is a lone
+submission, replayed by :meth:`CohortEngine._run_single_member` as a
+:func:`serve_alone` chain.  Every other region, a one-class region
+included, event-steps with the two layers above.
 
 Work-queue regions take none of these layers: class compression and
 convoy drains are off while a queue is attached, and every worker
@@ -69,10 +68,20 @@ additions), so event times can differ by a few ulps.  Those
 differences are absorbed by the completion-batching tolerance the DES
 server itself applies; end-to-end simulated seconds agree to well
 within 1e-9 relative (checked for every registry experiment by
-``repro bench --verify``).  One registry run is a known exception:
-on the 2-processor MTA, the 1000-thread sync-variable Threat job's
-convoy drains across the two per-processor classes end 1e-7 relative
-away from DES, while ``REPRO_ENGINE=stepped`` matches DES exactly.
+``repro bench --verify``).  One registry run is a known exception,
+and class compression is its cause: the MTA pins threads to
+processors round-robin, so its per-processor classes of the
+1000-thread sync-variable Threat job reach the lock at the same
+instant.  DES queues their members alternately; compression queues
+all of one class, then all of the other.  Convoy drains are not the
+cause: with drains off the run still ends 1e-7 relative away from
+DES, and with multi-class compression off it matches DES bit for
+bit, as ``REPRO_ENGINE=stepped`` does.  Four ``threat_scale`` /
+processor settings of ``threat_finegrained_all_job()`` break the
+parity contract on ``closed``: 0.02 on 2 processors (end time 1e-7
+relative, lock wait 1.7e-4; the registry run), 0.02 on 4 (end time
+9.5e-9), 0.01 on 2 (lock wait 4.7e-6) and 0.002 on 2 (end time
+1.9e-7).
 """
 
 from __future__ import annotations
@@ -117,15 +126,6 @@ def serve_alone(server, demand: float, cap: float, t: float) -> float:
     server.busy_time += dt
     server.total_served += rate * dt
     return t + dt
-
-
-def convoy_schedule(start: float, n: int, delta: float) -> np.ndarray:
-    """Completion times of ``n`` serialized identical critical sections.
-
-    The closed form of a lock convoy: pass ``i`` (1-based) holds the
-    lock for ``delta`` and completes at ``start + i * delta``.
-    """
-    return start + np.arange(1, n + 1, dtype=np.float64) * delta
 
 
 class ScalarBatchServer:
@@ -462,9 +462,9 @@ class CohortEngine:
         its segments pops the next item, exactly like the DES worker
         loop over ``Store.try_get``.
     closed_form:
-        Enable the closed-form layers (class compression, convoy-drain
-        replication, single-class regions).  The machine driver passes
-        ``False`` under ``REPRO_ENGINE=stepped``.
+        Enable the closed-form layers (class compression and
+        convoy-drain replication) and the single-member replay.  The
+        machine driver passes ``False`` under ``REPRO_ENGINE=stepped``.
     """
 
     def __init__(self, start_time: float, capacities: Sequence[float],
@@ -527,12 +527,6 @@ class CohortEngine:
             # serial: every segment runs alone, closed form
             self.stats["closed_form"] = 1
             return self._run_single_member()
-        if (self.closed_form and self.queue is None
-                and len(self.threads) == 1):
-            end = self._run_single_class()
-            if end is not None:
-                self.stats["closed_form"] = 1
-                return end
         # threads start in creation order (DES bootstrap order)
         for tid in range(len(self.threads)):
             self._advance_thread(tid)
@@ -605,126 +599,6 @@ class CohortEngine:
         self.done_times = [t]
         return t
 
-    # ------------------------------------------------------------------
-    def _run_single_class(self) -> Optional[float]:
-        """Closed-form replay of a single-class region, or None.
-
-        Eligible shape: leading serve/sleep segments (the lockstep
-        span) followed by at most one trailing critical section whose
-        body is serve/sleep only and whose REL is the final segment
-        (the convoy span).  Anything else returns None and the region
-        event-steps.
-        """
-        th = self.threads[0]
-        segs = th.segs
-        pre = segs
-        hold = None
-        lock_name = None
-        for i, seg in enumerate(segs):
-            op = seg[0]
-            if op == ACQ:
-                if not segs or segs[-1][0] != REL or segs[-1][1] != seg[1]:
-                    return None
-                for inner in segs[i + 1:-1]:
-                    if inner[0] in (ACQ, REL):
-                        return None
-                pre = segs[:i]
-                hold = segs[i + 1:-1]
-                lock_name = seg[1]
-                break
-            if op == REL:
-                return None
-        n = th.weight
-        servers = self.servers
-        own = th.own
-
-        def walk(seg_list, n_share, mult, t):
-            # one pass over serve/sleep segments with every member
-            # receiving min(cap, capacity / n_share); credits busy and
-            # served statistics `mult` times (serialized passes don't
-            # overlap).  Returns None on a stalled zero-rate job.
-            for seg in seg_list:
-                op = seg[0]
-                if op == SRV:
-                    _op, sid, demand, cap = seg
-                    if demand <= 0:
-                        continue
-                    s = servers[own if sid is None else sid]
-                    share = s.capacity / n_share
-                    c = cap if cap is not None else _INF
-                    rate = c if c <= share else share
-                    if rate <= 0:
-                        return None
-                    dt = demand / rate
-                    s.busy_time += dt * mult
-                    s.total_served += rate * dt * n_share * mult
-                    t += dt
-                elif op == PAR:
-                    end = t
-                    for sid, demand, cap in seg[1]:
-                        if demand <= 0:
-                            continue
-                        s = servers[own if sid is None else sid]
-                        share = s.capacity / n_share
-                        c = cap if cap is not None else _INF
-                        rate = c if c <= share else share
-                        if rate <= 0:
-                            return None
-                        dt = demand / rate
-                        s.busy_time += dt * mult
-                        s.total_served += rate * dt * n_share * mult
-                        e = t + dt
-                        if e > end:
-                            end = e
-                    t = end
-                elif op == SLEEP:
-                    if seg[1] > 0:
-                        t += seg[1]
-                else:  # pragma: no cover - shape pre-validated
-                    return None
-            return t
-
-        t1 = walk(pre, float(n), 1, self.now)
-        if t1 is None:
-            return None
-        if hold is None:
-            self.now = t1
-            self.n_done = n
-            self.done_times = [t1] * n
-            return t1
-        # the convoy: every member reaches ACQ at t1; each pass runs
-        # alone (n_share == 1) and the k-th completes at t1 + k * delta
-        t_one = walk(hold, 1.0, n, t1)
-        if t_one is None:
-            return None
-        delta = t_one - t1
-        lk = self._lock(lock_name)
-        if delta <= 0 or n == 1:
-            # a zero-length critical section is passed through
-            # synchronously by every member -- no contention recorded,
-            # matching the event-stepped engine and the DES lock
-            end = t1 if delta <= 0 else t_one
-            self.now = end
-            self.n_done = n
-            self.done_times = [end] * n
-            return end
-        times = convoy_schedule(t1, n, delta)
-        lk.waits += n - 1
-        lk.wait_time += delta * (n * (n - 1) / 2.0)
-        if n - 1 > lk.max_depth:
-            lk.max_depth = n - 1
-        d = 1
-        while d <= n - 1:
-            hi = min(2 * d - 1, n - 1)
-            lk.hist[d] = lk.hist.get(d, 0) + (hi - d + 1)
-            d <<= 1
-        end = float(times[-1])
-        self.now = end
-        self.n_done = n
-        self.done_times = times.tolist()
-        return end
-
-    # ------------------------------------------------------------------
     # ------------------------------------------------------------------
     def _run_two(self, n: int) -> float:
         """Event loop specialized for two servers (every conventional

@@ -1,7 +1,8 @@
 """Closed-form vs event-stepped cohort engine equivalence.
 
-The closed-form layers (class compression, convoy-drain replication,
-single-class regions) are an arithmetic shortcut, not a model change:
+The closed-form layers (class compression and convoy-drain
+replication) and the single-member replay are an arithmetic shortcut,
+not a model change:
 for any region the engine accepts, running with the layers on must
 reproduce the event-stepped timeline -- completion order, completion
 times, lock-wait statistics, server busy/served accounting -- to
@@ -10,7 +11,6 @@ the same :class:`CohortEngine` and compare everything the machine
 models consume.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.des.batch import (
@@ -20,7 +20,6 @@ from repro.des.batch import (
     SRV,
     CohortEngine,
     ScalarBatchServer,
-    convoy_schedule,
 )
 from repro.machines import ConventionalMachine, exemplar
 from repro.workload.cohort import ENGINE_ENV, resolve_engine
@@ -44,7 +43,10 @@ def convoy_cases(draw):
     common FIFO order) and differ in critical-section length; weights
     cover the compressed-entity paths (armed passthrough, splits,
     parked resumes, drain replication) and k > 1 covers class
-    boundaries falling back to stepped grants.
+    boundaries falling back to stepped grants.  A drawn ``locked``
+    flag of False drops the ``ACQ``/``REL`` pair, leaving lock-free
+    lockstep classes; one hold may be ``0.0``, a critical section that
+    is only a sleep, or empty when the sleep is also zero.
 
     Generated classes are contiguous and pairwise distinct: within the
     engines' exactness envelope, simultaneous lock arrivals keep their
@@ -57,11 +59,16 @@ def convoy_cases(draw):
     k = draw(st.integers(min_value=1, max_value=3))
     weights = draw(st.lists(st.integers(min_value=1, max_value=40),
                             min_size=k, max_size=k))
+    locked = draw(st.booleans())
     pre = draw(st.floats(min_value=0.0, max_value=50.0))
     pre_cap = draw(st.one_of(st.none(),
                              st.floats(min_value=0.5, max_value=20.0)))
     holds = draw(st.lists(st.floats(min_value=1e-3, max_value=10.0),
                           min_size=k, max_size=k, unique=True))
+    zero_at = draw(st.one_of(st.none(),
+                             st.integers(min_value=0, max_value=k - 1)))
+    if zero_at is not None:
+        holds[zero_at] = 0.0
     hold_sleep = draw(st.floats(min_value=0.0, max_value=2.0))
     capacity = draw(st.floats(min_value=1.0, max_value=100.0))
     programs = []
@@ -69,11 +76,13 @@ def convoy_cases(draw):
         prog = []
         if pre > 0:
             prog.append((SRV, 0, pre, pre_cap))
-        prog.append((ACQ, "L"))
+        if locked:
+            prog.append((ACQ, "L"))
         prog.append((SRV, 0, holds[i], None))
         if hold_sleep > 0:
             prog.append((SLEEP, hold_sleep))
-        prog.append((REL, "L"))
+        if locked:
+            prog.append((REL, "L"))
         programs.extend([list(prog)] * weights[i])
     return programs, capacity
 
@@ -113,7 +122,7 @@ def assert_engines_agree(programs, capacity):
     return fast, slow
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(convoy_cases())
 def test_closed_form_matches_event_stepped_scalar(case):
     programs, capacity = case
@@ -124,13 +133,18 @@ def test_closed_form_matches_event_stepped_scalar(case):
 # dispatch accounting
 # ----------------------------------------------------------------------
 
-def test_single_class_region_goes_closed_form():
+def test_single_class_convoy_runs_on_drains():
+    # a one-class convoy event-steps: the armed passthrough splits on
+    # the first pass, one grant is stepped while the watch measures it,
+    # and the other 30 replay as one drain
     prog = [(SRV, 0, 5.0, None), (ACQ, "L"), (SRV, 0, 1.0, None),
             (REL, "L")]
     fast, _ = run_engine([list(prog)] * 32, 10.0, closed_form=True)
-    assert fast.stats["closed_form"] == 1
+    assert fast.stats["closed_form"] == 0
     assert fast.stats["classes"] == 1
-    assert fast.stats["events"] == 0
+    assert fast.stats["drained_grants"] == 30
+    assert fast.stats["stepped_grants"] == 1
+    assert fast.stats["events"] == 3
     assert_engines_agree([list(prog)] * 32, 10.0)
 
 
@@ -157,7 +171,7 @@ def test_event_stepped_engine_reports_no_closed_form():
     assert slow.stats["drained_grants"] == 0
 
 
-def test_force_closed_form_env_gate(monkeypatch):
+def test_engine_env_reaches_driver_not_engine(monkeypatch):
     """``REPRO_ENGINE`` reaches the engine only through the machine
     driver, which passes ``closed_form``; the engine never reads it."""
     monkeypatch.setenv(ENGINE_ENV, "stepped")
@@ -170,11 +184,6 @@ def test_force_closed_form_env_gate(monkeypatch):
                        closed_form=False)
     assert not eng.closed_form
     assert eng.stats["classes"] == 4
-
-
-def test_convoy_schedule_closed_form():
-    times = convoy_schedule(10.0, 4, 0.5)
-    assert times.tolist() == [10.5, 11.0, 11.5, 12.0]
 
 
 # ----------------------------------------------------------------------
