@@ -130,10 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "and require each to be flagged")
     race_p.add_argument("--json", metavar="PATH", default=None,
                         help="write the schema-versioned report as JSON")
-    race_p.add_argument("--engine", choices=("des", "cohort"),
-                        default=None,
-                        help="extraction to report (default: whichever "
-                             "the simulators would use)")
     race_p.add_argument("--no-parity", action="store_true",
                         help="skip the DES-vs-cohort verdict "
                              "cross-check")
@@ -650,7 +646,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         return run_race(args.ids, data, run_all=args.race_all,
                         fixtures=args.fixtures, json_path=args.json,
-                        engine=args.engine, parity=not args.no_parity)
+                        parity=not args.no_parity)
     return 2  # pragma: no cover
 
 

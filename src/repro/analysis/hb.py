@@ -218,11 +218,11 @@ def _region_findings(job_name: str, region_label: str, region,
 
 def analyze_job(job: Job, engine: Optional[str] = None) -> JobReport:
     """Race/hazard verdict for one job under one engine's extraction:
-    the DES walk for ``des``, the cohort walk for ``cohort`` or either
-    cohort engine (``closed``, ``stepped``)."""
+    the DES walk for ``des``, the cohort walk for either cohort engine
+    (``closed``, ``stepped``)."""
     if engine is None:
         engine = resolve_engine()
-    if engine != "cohort" and engine not in ENGINES:
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     extract = _events_des if engine == "des" else _events_cohort
     facts = facts_for_job(job.name)
@@ -242,16 +242,17 @@ def analyze_job(job: Job, engine: Optional[str] = None) -> JobReport:
 
 
 def analyze_job_both(job: Job) -> tuple[JobReport, JobReport]:
-    """The job's verdict under both engine extractions."""
-    return analyze_job(job, "des"), analyze_job(job, "cohort")
+    """The job's ``des`` and ``closed`` verdicts (the DES walk and the
+    cohort walk)."""
+    return analyze_job(job, "des"), analyze_job(job, "closed")
 
 
 def verify_engine_parity(job: Job) -> JobReport:
-    """Analyze under both engines and require identical verdicts."""
-    des, cohort = analyze_job_both(job)
-    if des.findings != cohort.findings \
-            or des.suppressed != cohort.suppressed:
+    """Analyze under both extractions and require identical verdicts."""
+    des, closed = analyze_job_both(job)
+    if des.findings != closed.findings \
+            or des.suppressed != closed.suppressed:
         raise AssertionError(
             f"engine verdicts diverge for job {job.name!r}: "
-            f"des={des.findings!r} cohort={cohort.findings!r}")
+            f"des={des.findings!r} closed={closed.findings!r}")
     return des

@@ -2,13 +2,16 @@
 
 Analyzes registered experiments (or all of them) with the
 happens-before detector, optionally checks the buggy fixtures, and
-writes the schema-versioned JSON report.  Exit status is the CI
-contract:
+writes the schema-versioned JSON report.  An experiment's targets are
+the jobs of the simulation cells a run of it performs
+(:func:`repro.harness.parallel.experiment_cells`), one per job and
+seed universe.  Exit status is the CI contract:
 
 * ``0`` -- every analyzed job clean (and, with ``--fixtures``, every
   fixture flagged with exactly its expected hazard classes);
 * ``1`` -- a finding in a registered experiment, a fixture that failed
-  to trip, or an engine-parity divergence;
+  to trip, an engine-parity divergence, or an experiment whose plan
+  failed;
 * ``2`` -- unknown experiment id.
 """
 
@@ -18,14 +21,18 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.hb import analyze_job, analyze_job_both
+from repro.analysis.hb import analyze_job
 from repro.analysis.report import (
     JobReport,
     RACE_REPORT_SCHEMA,
     render_report,
     report_to_dict,
 )
-from repro.analysis.targets import experiment_jobs
+from repro.harness.parallel import (
+    PlanningError,
+    distinct_jobs,
+    experiment_cells,
+)
 from repro.harness.runner import BenchmarkData
 from repro.workload.cohort import resolve_engine
 
@@ -34,27 +41,31 @@ def _analyze_experiments(ids: Sequence[str], data: BenchmarkData,
                          engine: str, parity: bool
                          ) -> tuple[dict[str, list[JobReport]], int]:
     """Per-experiment job reports; jobs shared between experiments are
-    analyzed once.  Returns the reports and a status (0 clean, 1 not)."""
+    analyzed once.  Returns the reports and a status (0 clean, 1 not).
+    With ``parity`` each job is also analyzed under the other
+    extraction (DES against the cohort walk) and must agree."""
     status = 0
-    memo: dict[str, JobReport] = {}
+    memo: dict[tuple[str, int], JobReport] = {}
     out: dict[str, list[JobReport]] = {}
+    other = "closed" if engine == "des" else "des"
     for eid in ids:
         reports = []
-        for name, job in experiment_jobs(eid, data).items():
-            if name not in memo:
+        for jid, job in distinct_jobs(experiment_cells(eid, data)).items():
+            if jid not in memo:
+                memo[jid] = analyze_job(job, engine)
                 if parity:
-                    des, cohort = analyze_job_both(job)
-                    if des.findings != cohort.findings \
-                            or des.suppressed != cohort.suppressed:
-                        print(f"ENGINE PARITY FAILURE for {name}:\n"
-                              f"  des:    {[f.render() for f in des.findings]}\n"
-                              f"  cohort: {[f.render() for f in cohort.findings]}",
+                    mine, theirs = memo[jid], analyze_job(job, other)
+                    if mine.findings != theirs.findings \
+                            or mine.suppressed != theirs.suppressed:
+                        print(f"ENGINE PARITY FAILURE for {job.name} "
+                              f"({jid[0]}@{jid[1]}):\n"
+                              f"  {engine}: "
+                              f"{[f.render() for f in mine.findings]}\n"
+                              f"  {other}: "
+                              f"{[f.render() for f in theirs.findings]}",
                               file=sys.stderr)
                         status = 1
-                    memo[name] = des if engine == "des" else cohort
-                else:
-                    memo[name] = analyze_job(job, engine)
-            reports.append(memo[name])
+            reports.append(memo[jid])
         out[eid] = reports
     return out, status
 
@@ -62,13 +73,12 @@ def _analyze_experiments(ids: Sequence[str], data: BenchmarkData,
 def run_race(ids: Sequence[str], data: BenchmarkData, *,
              run_all: bool = False, fixtures: bool = False,
              json_path: Optional[str] = None,
-             engine: Optional[str] = None,
              parity: bool = True) -> int:
-    """Drive the detector; returns the process exit status."""
+    """Drive the detector on the ``REPRO_ENGINE`` extraction; returns
+    the process exit status."""
     from repro.harness.registry import EXPERIMENT_IDS, list_experiments
 
-    if engine is None:
-        engine = resolve_engine()
+    engine = resolve_engine()
     if run_all:
         ids = list(EXPERIMENT_IDS)
     known = set(list_experiments())
@@ -80,7 +90,12 @@ def run_race(ids: Sequence[str], data: BenchmarkData, *,
     status = 0
     reports: dict[str, list[JobReport]] = {}
     if ids:
-        reports, status = _analyze_experiments(ids, data, engine, parity)
+        try:
+            reports, status = _analyze_experiments(ids, data, engine,
+                                                   parity)
+        except PlanningError as exc:
+            print(f"race: {exc}", file=sys.stderr)
+            return 1
         print(render_report(reports, engine))
         if any(f for rs in reports.values() for r in rs
                for f in r.findings):

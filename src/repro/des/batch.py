@@ -33,19 +33,20 @@ disabled, with the single-member replay below, by
   perfect lockstep under the batch arithmetic, so one weighted entity
   replays all of them.  Server jobs carry the weight: the fair share
   divides by the member count, served work scales by it, and a
-  weighted lock acquire enqueues all members back to back with the
-  per-arrival depth statistics the DES ``Resource`` would record.
+  weighted lock acquire enqueues its members with the per-arrival
+  depth statistics the DES ``Resource`` would record.
 
-* **Convoy-drain replication** -- when a run of identical members is
-  queued on a lock and the environment is steady (no other completions
-  or timers), one member's critical-section pass is measured
-  event-stepped and the following members are replayed arithmetically:
-  the grant times form ``t0 + arange(k) * delta`` and every server's
-  remaining-work/busy/served state advances by ``k`` times the
-  measured per-pass delta.  One watch measures a pass; any event that
-  interleaves marks it foreign and the engine falls back to stepping.
-  Only a holder whose remaining program is a trailing critical
-  section (serve/sleep segments ending in its one ``REL``) is watched.
+* **Convoy-drain replication** -- when the lock queue repeats a cycle
+  of identical members (a run of one class, or one member per class
+  of a tie's interleave) and the environment is steady (no other
+  completions or timers), one cycle of critical-section passes is
+  measured event-stepped and the following cycles are replayed
+  arithmetically: grant times advance by the cycle length and every
+  server's remaining-work/busy/served state by the measured per-cycle
+  delta.  One watch measures a cycle; any event that interleaves
+  marks it foreign and the engine falls back to stepping.  Only
+  holders whose remaining program is a trailing critical section
+  (serve/sleep segments ending in its one ``REL``) are watched.
 
 A one-thread region skips the event loop: every segment is a lone
 submission, replayed by :meth:`CohortEngine._run_single_member` as a
@@ -68,20 +69,20 @@ additions), so event times can differ by a few ulps.  Those
 differences are absorbed by the completion-batching tolerance the DES
 server itself applies; end-to-end simulated seconds agree to well
 within 1e-9 relative (checked for every registry experiment by
-``repro bench --verify``).  One registry run is a known exception,
-and class compression is its cause: the MTA pins threads to
-processors round-robin, so its per-processor classes of the
-1000-thread sync-variable Threat job reach the lock at the same
-instant.  DES queues their members alternately; compression queues
-all of one class, then all of the other.  Convoy drains are not the
-cause: with drains off the run still ends 1e-7 relative away from
-DES, and with multi-class compression off it matches DES bit for
-bit, as ``REPRO_ENGINE=stepped`` does.  Four ``threat_scale`` /
-processor settings of ``threat_finegrained_all_job()`` break the
-parity contract on ``closed``: 0.02 on 2 processors (end time 1e-7
-relative, lock wait 1.7e-4; the registry run), 0.02 on 4 (end time
-9.5e-9), 0.01 on 2 (lock wait 4.7e-6) and 0.002 on 2 (end time
-1.9e-7).
+``repro bench --verify``).
+
+Lock queue order follows one rule: tied arrivals queue in DES order.
+DES hands out job seqs member by member, so the members of classes
+advanced in one event hold seqs interleaved in creation order, and
+DES queues them at a lock one at a time in that order.  Each entity
+carries a seq-group token (every class starts in the bootstrap group;
+the members of one group that submit in one event form the next
+group), and when entities of one group reach one lock in one event
+their members are merged into the queue by creation index.  Entities
+of different groups hold disjoint seq ranges and queue as blocks.
+The MTA's round-robin pinning makes such ties routine: the
+per-processor classes of a sync-variable job reach its lock at the
+same instant, and their members alternate in the queue.
 """
 
 from __future__ import annotations
@@ -93,6 +94,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.des.errors import DesError
+
+#: longest cycle of tied members a convoy drain measures
+_MAX_CYCLE = 32
 
 #: completion tolerance -- must match ``repro.des.resources._EPS``
 _EPS = 1e-9
@@ -394,7 +398,7 @@ class ScalarBatchServer:
 
 class _Thread:
     __slots__ = ("segs", "idx", "own", "outstanding", "weight",
-                 "armed_lock", "armed_idx")
+                 "armed_lock", "armed_idx", "members", "tok")
 
     def __init__(self, segs: list, own: int, weight: int = 1):
         self.segs = segs
@@ -404,11 +408,17 @@ class _Thread:
         self.weight = weight    # lockstep members this entity represents
         self.armed_lock = None  # lock held but not yet contended-split
         self.armed_idx = 0
+        #: creation indices of the members, ascending (class entities)
+        self.members: list[int] = []
+        #: seq group: the members of entities sharing a token hold
+        #: seqs interleaved in creation order; None = a group of one
+        self.tok: Optional[int] = None
 
 
 class _LockState:
     __slots__ = ("holder", "queue", "qlen", "waits", "wait_time",
-                 "max_depth", "hist")
+                 "max_depth", "hist", "tie_key", "tie", "tie_n",
+                 "cyclic")
 
     def __init__(self) -> None:
         self.holder: Optional[int] = None
@@ -422,22 +432,33 @@ class _LockState:
         # seen by each contended acquire, max + power-of-two histogram
         self.max_depth = 0
         self.hist: dict[int, int] = {}
+        #: (event, token) of the arrivals at the queue's tail, their
+        #: members as (creation index, cid, resume_idx, parked) and
+        #: the number of tail entries they fill
+        self.tie_key: Optional[tuple[int, int]] = None
+        self.tie: list[tuple[int, int, int, bool]] = []
+        self.tie_n = 0
+        self.cyclic = False     # a tie interleaved classes in the queue
 
 
 class _DrainWatch:
-    """One critical-section pass being measured for replication."""
+    """One cycle of critical-section passes being measured for
+    replication: one pass for a run of one class, one pass per class
+    for classes interleaved by a tie."""
 
-    __slots__ = ("lock_name", "tid", "segs", "idx", "t_grant", "snaps",
-                 "foreign")
+    __slots__ = ("lock_name", "tid", "t_grant", "snaps", "foreign",
+                 "cycle", "rels")
 
-    def __init__(self, lock_name, tid, segs, idx, t_grant, snaps):
+    def __init__(self, lock_name, tid, t_grant, snaps, cycle):
         self.lock_name = lock_name
         self.tid = tid          # the measured holder
-        self.segs = segs        # class program identity
-        self.idx = idx          # resume index of the queued siblings
         self.t_grant = t_grant
         self.snaps = snaps      # per-server drain_state() at grant
         self.foreign = False    # an unrelated event interleaved
+        #: (class program, resume index) of each pass, in grant order
+        self.cycle = cycle
+        #: release times of the passes done so far, from t_grant
+        self.rels: list[float] = []
 
 
 class CohortEngine:
@@ -493,6 +514,7 @@ class CohortEngine:
                     threads.append(th)
                 else:
                     th.weight += 1
+                th.members.append(i)
         else:
             threads = [
                 _Thread(list(segs),
@@ -500,6 +522,15 @@ class CohortEngine:
                 for i, segs in enumerate(programs)
             ]
         self.threads = threads
+        #: tie tracking: only several classes, one of them weighted,
+        #: can tie at a lock in an order compression would lose
+        self._ties = 1 < len(threads) < n
+        if self._ties:
+            for th in threads:
+                th.tok = 0      # bootstrap: one group, creation order
+        self._event = 0         # loop iteration (0 = bootstrap)
+        self._rt = (-1, -1, 0)  # last (event, old token, new token)
+        self._rt_next = 1
         self.servers = [ScalarBatchServer(c, self.now) for c in capacities]
         self.timers: list[tuple[float, int, int]] = []
         self.locks: dict[str, _LockState] = {}
@@ -620,6 +651,7 @@ class CohortEngine:
             if t == _INF:  # pragma: no cover - defensive
                 raise DesError("cohort region deadlocked")
             events += 1
+            self._event = events
             self.now = t
             batch = s0.finish(t) if d0 <= t else []
             if d1 <= t:
@@ -690,6 +722,7 @@ class CohortEngine:
             if t == _INF:  # pragma: no cover - defensive
                 raise DesError("cohort region deadlocked")
             events += 1
+            self._event = events
             self.now = t
             due_ids: list[int] = []
             while heap and heap[0][0] <= t:
@@ -768,6 +801,7 @@ class CohortEngine:
         servers = self.servers
         now = self.now
         seq = self._seq
+        ties = self._ties
         while True:
             if i >= len(segs):
                 q = self.queue
@@ -792,6 +826,8 @@ class CohortEngine:
                         sid = th.own
                     if th.armed_lock is not None and th.weight > 1:
                         self._split_armed(th, tid, now)
+                    if ties:
+                        self._retoken(th)
                     servers[sid].add(tid, demand, cap, seq, now, th.weight)
                     self._touched.append(sid)
                     seq += 1
@@ -805,9 +841,12 @@ class CohortEngine:
                     if demand > 0:
                         if sid is None:
                             sid = th.own
-                        if k == 0 and th.armed_lock is not None \
-                                and th.weight > 1:
-                            self._split_armed(th, tid, now)
+                        if k == 0:
+                            if th.armed_lock is not None \
+                                    and th.weight > 1:
+                                self._split_armed(th, tid, now)
+                            if ties:
+                                self._retoken(th)
                         servers[sid].add(tid, demand, cap, seq, now,
                                          th.weight)
                         self._touched.append(sid)
@@ -823,6 +862,8 @@ class CohortEngine:
                 if d > 0:
                     if th.armed_lock is not None and th.weight > 1:
                         self._split_armed(th, tid, now)
+                    if ties:
+                        self._retoken(th)
                     heappush(self.timers, (now + d, seq, tid))
                     self._seq = seq + 1
                     th.outstanding = 1
@@ -840,7 +881,8 @@ class CohortEngine:
                         th.armed_idx = i
                 else:
                     # contended: counted at request time, like Resource
-                    self._enqueue(lk, tid, i, th.weight, now, parked=True)
+                    self._enqueue(lk, tid, i, th.weight, now,
+                                  parked=True, members=th.members)
                     th.idx = i
                     self._seq = seq
                     return
@@ -854,36 +896,69 @@ class CohortEngine:
                     lk.holder = None
                 else:
                     lk.holder = None
-                    w_ = self._watch
-                    deferred = False
-                    if w_ is not None and w_.tid == tid:
-                        self._watch = None
-                        if (lk.queue and not w_.foreign
-                                and w_.lock_name == name
-                                and now > w_.t_grant):
-                            head = lk.queue[0]
-                            if (head[1] == w_.idx
-                                    and self.threads[head[0]].segs
-                                    is w_.segs):
-                                # measured pass matches the queued
-                                # siblings: defer the hand-off and
-                                # replicate once this event's server
-                                # state settles
-                                self._seq = seq
-                                self._drain = (lk, now - w_.t_grant, w_)
-                                deferred = True
-                    if lk.queue and not deferred:
+                    if lk.queue:
                         self._seq = seq
-                        self._grant_next(lk, now)
+                        self._hand_off(lk, name, tid, now)
                         seq = self._seq
+                    elif self._watch is not None \
+                            and self._watch.tid == tid:
+                        self._watch = None
             else:  # pragma: no cover - compilers emit known opcodes
                 raise DesError(f"unknown cohort segment {seg!r}")
 
+    def _hand_off(self, lk: _LockState, name: str, tid: int,
+                  now: float) -> None:
+        """Release by ``tid`` onto a non-empty queue: grant the next
+        member, or, when ``tid`` ends a measured cycle whose pattern
+        the queue repeats, defer the hand-off to the drain."""
+        w_ = self._watch
+        if w_ is None or w_.tid != tid:
+            self._grant_next(lk, now)
+            return
+        self._watch = None
+        if w_.foreign or w_.lock_name != name or now <= w_.t_grant:
+            self._grant_next(lk, now)
+            return
+        head = lk.queue[0]
+        n_pass = len(w_.rels) + 1
+        segs, idx = w_.cycle[n_pass % len(w_.cycle)]
+        if head[1] != idx or self.threads[head[0]].segs is not segs:
+            self._grant_next(lk, now)
+        elif n_pass < len(w_.cycle):
+            # a pass inside the cycle: hand off and keep measuring
+            w_.rels.append(now - w_.t_grant)
+            self._watch = w_
+            w_.tid = self._grant_next(lk, now)
+        else:
+            # measured cycle matches the queued members: defer the
+            # hand-off and replicate once this event's server state
+            # settles
+            self._drain = (lk, now - w_.t_grant, w_)
+
+    def _retoken(self, th: _Thread) -> None:
+        """Move a submitting entity to its seq group for this event.
+
+        DES hands out seqs member by member in processing order, so
+        the members of one group advanced in one event take
+        interleaved new seqs (creation order) and form the next
+        group.  Groups are contiguous in processing order, so the
+        last mapping is the only one to remember.
+        """
+        tok = th.tok
+        if tok is None:
+            return
+        ev, old, new = self._rt
+        if ev != self._event or old != tok:
+            new = self._rt_next
+            self._rt_next = new + 1
+            self._rt = (self._event, tok, new)
+        th.tok = new
+
     # ------------------------------------------------------------------
     def _enqueue(self, lk: _LockState, cid: int, idx: int, w: int,
-                 now: float, parked: bool) -> None:
-        # the class's members arrive back to back, each seeing a queue
-        # one deeper than the previous
+                 now: float, parked: bool, members: list[int]) -> None:
+        # the members arrive back to back, each seeing a queue one
+        # deeper than the previous
         q0 = lk.qlen
         lk.waits += w
         depth = q0 + w
@@ -893,16 +968,53 @@ class CohortEngine:
         for d in range(q0 + 1, depth + 1):
             bucket = 1 << (d.bit_length() - 1)
             hist[bucket] = hist.get(bucket, 0) + 1
-        lk.queue.append([cid, idx, w, now, parked])
         lk.qlen += w
+        tok = self.threads[cid].tok
+        if tok is None:
+            lk.tie_key = None
+            lk.queue.append([cid, idx, w, now, parked])
+            return
+        key = (self._event, tok)
+        arrivals = [(m, cid, idx, parked) for m in members]
+        if lk.tie_key != key:
+            lk.tie_key = key
+            lk.tie = arrivals
+            lk.tie_n = 1
+            lk.queue.append([cid, idx, w, now, parked])
+            return
+        # a tie: the members of one seq group reach the lock in one
+        # event, and DES queues them one at a time in creation order
+        q = lk.queue
+        for _ in range(lk.tie_n):
+            q.pop()
+        tie = lk.tie
+        tie.extend(arrivals)
+        tie.sort()
+        runs: list[list] = []
+        is_parked: dict[int, bool] = {}
+        for _m, c, i, p in tie:
+            is_parked[c] = p
+            if runs and runs[-1][0] == c:
+                runs[-1][2] += 1
+            else:
+                runs.append([c, i, 1, now, False])
+        # only a parked entity's last run resumes the entity itself
+        for run in reversed(runs):
+            if is_parked.pop(run[0], False):
+                run[4] = True
+        q.extend(runs)
+        lk.tie_n = len(runs)
+        lk.cyclic = True
 
     def _split_armed(self, th: _Thread, tid: int, now: float) -> None:
         # the class entered its critical section optimistically as one
         # unit; the section blocks, so the trailing members queue
         # behind the leader exactly as individual threads would have
         lk = self.locks[th.armed_lock]
+        trailing = th.members[1:]
+        del th.members[1:]
         self._enqueue(lk, tid, th.armed_idx, th.weight - 1, now,
-                      parked=False)
+                      parked=False, members=trailing)
         th.weight = 1
         th.armed_lock = None
 
@@ -912,6 +1024,10 @@ class CohortEngine:
         cid, idx, cnt, t0, parked = head
         lk.wait_time += now - t0
         lk.qlen -= 1
+        if len(lk.queue) <= lk.tie_n:
+            # the grant takes a member of the tie at the tail; a grant
+            # ahead of it leaves its order to later tied arrivals
+            lk.tie_key = None
         if cnt == 1:
             lk.queue.popleft()
         else:
@@ -920,6 +1036,7 @@ class CohortEngine:
         if parked and cnt == 1:
             # the last parked member is the waiting entity itself
             src.weight = 1
+            src.tok = None
             granted = cid
         else:
             runner = _Thread(src.segs, src.own)
@@ -933,20 +1050,74 @@ class CohortEngine:
                 and self._watch is None and lk.queue):
             h = lk.queue[0]
             if h[0] == cid and h[1] == idx:
-                self._arm_watch(lk, granted, src.segs, idx, now)
+                self._arm_watch(lk, granted, now, ((src.segs, idx),))
+            elif lk.cyclic:
+                cycle = self._cycle_at(lk.queue, src.segs, idx)
+                if cycle is not None:
+                    self._arm_watch(lk, granted, now, cycle)
         return granted
 
-    def _arm_watch(self, lk: _LockState, holder_tid: int, segs: list,
-                   idx: int, now: float) -> None:
-        """Start measuring the new holder's pass for replication."""
-        if not self._convoy_tail_ok(segs, idx):
+    def _cycle_at(self, q: deque, segs: list, idx: int
+                  ) -> Optional[tuple]:
+        """The cycle of queued members that starts with the member just
+        granted (program ``segs`` resuming at ``idx``), if the queue
+        repeats it at least once; else None.
+
+        The cycle runs up to the next member of the granted class; a
+        tie's interleave repeats it.  Every pass must be a convoy tail.
+        """
+        threads = self.threads
+        ids = [(id(segs), idx)]
+        cycle = [(segs, idx)]
+        for e in q:
+            s_ = threads[e[0]].segs
+            key = (id(s_), e[1])
+            for _ in range(e[2]):
+                ids.append(key)
+                cycle.append((s_, e[1]))
+                if len(ids) == 2 * _MAX_CYCLE:
+                    break
+            if len(ids) == 2 * _MAX_CYCLE:
+                break
+        try:
+            c = ids.index(ids[0], 1)
+        except ValueError:
+            return None
+        if len(ids) < 2 * c or ids[c:2 * c] != ids[:c]:
+            return None
+        for s_, i_ in cycle[:c]:
+            if not self._convoy_tail_ok(s_, i_):
+                return None
+        return tuple(cycle[:c])
+
+    def _full_cycles(self, q: deque, cycle: tuple) -> int:
+        """How many whole repeats of ``cycle`` lead the queue."""
+        threads = self.threads
+        c = len(cycle)
+        n = j = 0
+        for e in q:
+            s_ = threads[e[0]].segs
+            for _ in range(e[2]):
+                cs, ci = cycle[j]
+                if s_ is not cs or e[1] != ci:
+                    return n
+                j += 1
+                if j == c:
+                    n += 1
+                    j = 0
+        return n
+
+    def _arm_watch(self, lk: _LockState, holder_tid: int, now: float,
+                   cycle: tuple) -> None:
+        """Start measuring the cycle the new holder begins."""
+        if not self._convoy_tail_ok(*cycle[0]):
             return
         snaps = []
         for s in self.servers:
             s.sync(now)
             snaps.append(s.drain_state())
         name = next(k for k, v in self.locks.items() if v is lk)
-        self._watch = _DrainWatch(name, holder_tid, segs, idx, now, snaps)
+        self._watch = _DrainWatch(name, holder_tid, now, snaps, cycle)
 
     def _convoy_tail_ok(self, segs: list, idx: int) -> bool:
         """Whether ``segs[idx:]`` is a pure critical-section tail:
@@ -964,21 +1135,25 @@ class CohortEngine:
         return ok
 
     def _apply_drain(self) -> None:
-        """Replicate the measured critical-section pass over the queued
-        identical members, bounded by the event horizon.
+        """Replicate the measured cycle over the queued members that
+        repeat it, bounded by the event horizon.
 
         Runs after the current event's flushes: every server's state
-        is settled at ``self.now``.  A pass takes ``delta`` seconds and decrements each live job's
-        remaining work by the measured per-pass amount, so ``k``
-        passes replay as one multiply-accumulate provided no job
-        completes and no timer fires before ``now + k * delta``.
+        is settled at ``self.now``.  A cycle -- one pass, or one pass
+        per class of a tie's interleave -- takes ``delta`` seconds and
+        decrements each live job's remaining work by the measured
+        per-cycle amount, so ``k`` cycles replay as one
+        multiply-accumulate provided no job completes and no timer
+        fires before ``now + k * delta``.
         """
         lk, delta, w_ = self._drain
         self._drain = None
         now = self.now
-        head = lk.queue[0]
+        q = lk.queue
+        head = q[0]
         cnt = head[2]
-        k = cnt
+        c = len(w_.cycle)
+        k = cnt if c == 1 else self._full_cycles(q, w_.cycle)
         states = []
         for s, snap in zip(self.servers, w_.snaps):
             s.sync(now)
@@ -996,7 +1171,7 @@ class CohortEngine:
                     break
                 dec = r0 - r1
                 if dec > 0.0:
-                    # stay two full passes clear of this job's
+                    # stay two full cycles clear of this job's
                     # completion so the batching tolerance can never
                     # group it differently than stepping would
                     kj = int(r1 / dec) - 2
@@ -1019,18 +1194,38 @@ class CohortEngine:
             t_end = now + k * delta
             for s, dec_map, busy_d, served_d in states:
                 s.drain_apply(k, dec_map, busy_d, served_d, t_end)
-            head[2] = cnt - k
-            lk.qlen -= k
-            t0 = head[3]
-            lk.wait_time += k * (now - t0) + delta * (k * (k - 1) / 2.0)
-            self.n_done += k
-            self.done_times.extend(
-                (now + delta * np.arange(1, k + 1)).tolist())
-            self.stats["drained_grants"] += k
-            if head[2] == 0:
-                lk.queue.popleft()
+            if c == 1:
+                head[2] = cnt - k
+                lk.qlen -= k
+                t0 = head[3]
+                lk.wait_time += k * (now - t0) \
+                    + delta * (k * (k - 1) / 2.0)
+                self.done_times.extend(
+                    (now + delta * np.arange(1, k + 1)).tolist())
+                if head[2] == 0:
+                    q.popleft()
+            else:
+                # pass j of cycle m is granted at the release of pass
+                # j - 1 and ends at its own release
+                offs = [0.0] + w_.rels
+                dts = self.done_times
+                wait = lk.wait_time
+                for m in range(k):
+                    base = now + m * delta
+                    for j in range(c):
+                        e = q[0]
+                        wait += base + offs[j] - e[3]
+                        e[2] -= 1
+                        if e[2] == 0:
+                            q.popleft()
+                        dts.append(base + offs[j + 1] if j + 1 < c
+                                   else now + (m + 1) * delta)
+                lk.wait_time = wait
+                lk.qlen -= k * c
+            self.n_done += k * c
+            self.stats["drained_grants"] += k * c
             self.now = now = t_end
-        if lk.queue:
+        if q:
             self._grant_next(lk, now)
             self._drain_grants()
         for s in self.servers:

@@ -1,16 +1,19 @@
 """The ``repro chaos`` runner: fault-injected registry sweeps.
 
-For each selected experiment the runner takes the jobs the registry
-would simulate (:func:`repro.analysis.targets.experiment_jobs`), runs
-each healthy and under the fault plan on the selected platform
-archetypes (by default the 2-processor MTA and the 4-CPU Exemplar;
-``--machines`` can add the 64-strand T3-4 CMT), and reports the
-realized
-fault schedule plus the degradation.  Runs bypass the persistent
-result cache -- the machines are driven directly -- so the payload
-depends only on (plan, seed, scales) and the engine's arithmetic; with
-the stats rounded to 6 significant digits the DES and cohort payloads
-are byte-identical, which CI asserts.
+For each selected experiment the runner takes the jobs of the
+simulation cells a run of it performs
+(:func:`repro.harness.parallel.experiment_cells`, one entry per job
+and seed universe), runs each healthy and under the fault plan on the
+selected platform archetypes (by default the 2-processor MTA and the
+4-CPU Exemplar; ``--machines`` can add the 64-strand T3-4 CMT), and
+reports the realized fault schedule plus the degradation.  The
+archetypes, not each cell's own machine, carry the faults, so one
+plan's schedule is comparable across every job.  Runs bypass the
+persistent result cache -- the machines are driven directly -- so the
+payload depends only on (plan, seed, scales) and the engine's
+arithmetic; with the stats rounded to 6 significant digits the DES and
+cohort payloads are byte-identical, which CI asserts.  An experiment
+whose plan fails is an error (exit 1), never a shorter sweep.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ from repro.faults.inject import (
     run_faulted_mta,
 )
 from repro.faults.plan import FaultPlan
+from repro.harness.parallel import (
+    PlanningError,
+    distinct_jobs,
+    experiment_cells,
+)
 from repro.harness.runner import BenchmarkData
 from repro.machines import cmt, exemplar
 from repro.machines.machine import ConventionalMachine
@@ -69,19 +77,20 @@ def _round_stats(stats: dict[str, float]) -> dict[str, float]:
 class _ChaosRunner:
     """Shared-job memoization across experiments (a job like the
     sequential threat benchmark appears in many tables; simulate it
-    once per machine)."""
+    once per machine).  Jobs are keyed by ``(job_id, seed_offset)``,
+    never by name."""
 
     def __init__(self, data: BenchmarkData, plan: FaultPlan):
         self.data = data
         self.plan = plan
         self.mta_spec = mta(2)
         self.specs = {"conventional": exemplar(4), "cmt": cmt(64)}
-        self._healthy: dict[tuple[str, str], float] = {}
-        self._faulted: dict[tuple[str, str], FaultedRun] = {}
+        self._healthy: dict[tuple, float] = {}
+        self._faulted: dict[tuple, FaultedRun] = {}
 
     # ------------------------------------------------------------------
-    def healthy_seconds(self, machine: str, job: Job) -> float:
-        key = (machine, job.name)
+    def healthy_seconds(self, machine: str, jid: tuple, job: Job) -> float:
+        key = (machine, jid)
         if key not in self._healthy:
             if machine == "mta":
                 result = MtaMachine(self.mta_spec).run(job)
@@ -90,8 +99,8 @@ class _ChaosRunner:
             self._healthy[key] = result.seconds
         return self._healthy[key]
 
-    def faulted_run(self, machine: str, job: Job) -> FaultedRun:
-        key = (machine, job.name)
+    def faulted_run(self, machine: str, jid: tuple, job: Job) -> FaultedRun:
+        key = (machine, jid)
         if key not in self._faulted:
             if machine == "mta":
                 run = run_faulted_mta(self.mta_spec, job, self.plan)
@@ -101,9 +110,9 @@ class _ChaosRunner:
             self._faulted[key] = run
         return self._faulted[key]
 
-    def job_entry(self, machine: str, job: Job) -> dict:
-        healthy = self.healthy_seconds(machine, job)
-        run = self.faulted_run(machine, job)
+    def job_entry(self, machine: str, jid: tuple, job: Job) -> dict:
+        healthy = self.healthy_seconds(machine, jid, job)
+        run = self.faulted_run(machine, jid, job)
         slowdown = run.seconds / healthy if healthy > 0 else 1.0
         return {
             "job": job.name,
@@ -125,9 +134,10 @@ def chaos_report(experiment_ids: list[str], data: BenchmarkData,
                  faults: str = DEFAULT_FAULTS,
                  seed: int = 0,
                  machines: tuple[str, ...] = DEFAULT_MACHINES) -> dict:
-    """Build the chaos payload for the given experiments."""
-    from repro.analysis.targets import experiment_jobs
-
+    """Build the chaos payload for the given experiments.  Raises
+    KeyError for an unknown id and
+    :class:`~repro.harness.parallel.PlanningError` when planning an
+    experiment fails."""
     for machine in machines:
         if machine not in MACHINE_KINDS:
             raise ValueError(f"unknown chaos machine {machine!r}; "
@@ -136,11 +146,10 @@ def chaos_report(experiment_ids: list[str], data: BenchmarkData,
     runner = _ChaosRunner(data, plan)
     experiments = []
     for eid in experiment_ids:
-        jobs = experiment_jobs(eid, data)   # raises KeyError on bad id
         entries = []
-        for job in jobs.values():
+        for jid, job in distinct_jobs(experiment_cells(eid, data)).items():
             for machine in machines:
-                entries.append(runner.job_entry(machine, job))
+                entries.append(runner.job_entry(machine, jid, job))
         experiments.append({"experiment": eid, "jobs": entries})
     return {
         "schema": SCHEMA,
@@ -204,6 +213,9 @@ def run_chaos(experiment_ids: list[str], data: BenchmarkData, *,
     try:
         payload = chaos_report(ids, data, faults=faults, seed=seed,
                                machines=machines)
+    except PlanningError as exc:
+        print(f"chaos: {exc}", file=sys.stderr)
+        return 1
     except (KeyError, ValueError) as exc:
         print(f"chaos: {exc.args[0]}", file=sys.stderr)
         return 2

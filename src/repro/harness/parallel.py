@@ -66,9 +66,14 @@ from typing import Callable, Iterable, Optional, Sequence
 from repro import taskbench
 from repro.harness import store
 from repro.harness.experiment import ExperimentResult
-from repro.harness.registry import EXPERIMENT_IDS, run_experiment
+from repro.harness.registry import (
+    EXPERIMENT_IDS,
+    list_experiments,
+    run_experiment,
+)
 from repro.harness.runner import BenchmarkData, default_data
 from repro.obs.trace import active_tracer
+from repro.workload.task import Job
 
 #: ``seed:rate[:mode]`` -- deterministically crash-fault workers.  A
 #: worker handling fault unit ``u`` on attempt ``a`` dies iff
@@ -178,14 +183,36 @@ def _run_one(experiment_id: str, data: BenchmarkData,
 # the planning probe: record simulation cells instead of running them
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class SimCell:
+    """One simulation a registry experiment performs: a row of the
+    registry's run table, with the job itself.
+
+    ``job_id`` names the job across processes and universes --
+    ``recipe:<key>`` for a recipe-built job, else its structural
+    fingerprint -- so two jobs that share a name (``th-job-fg`` and
+    ``th-job-fg-all`` are both ``threat-finegrained``) stay apart.
+    """
+
+    key: str                    #: the persistent-cache key
+    kind: str                   #: ``"mta"`` or ``"conventional"``
+    spec: object                #: MtaSpec or MachineSpec
+    job: Job
+    job_id: str
+    slices_per_phase: int
+    exploit_fine_grained: bool
+    seed_offset: int
+
+
 class _PlanningData(BenchmarkData):
     """A :class:`BenchmarkData` whose ``_simulate`` records each cell.
 
     Kernels, scenarios and jobs are built for real (they are cheap and
     memoized); only the simulations -- the expensive part -- are
-    replaced by a placeholder.  Every recorded cell names a job
-    *recipe*, so any pool worker can rebuild the job and execute the
-    cell independently.  Experiment arithmetic downstream of the
+    replaced by a placeholder.  Each call is recorded as a
+    :class:`SimCell`, job included; a cell whose job is a *recipe* is
+    transportable (any pool worker can rebuild the job and execute the
+    cell independently).  Experiment arithmetic downstream of the
     placeholder timings is garbage and discarded; the replay phase
     recomputes it, so an incomplete or failed plan is merely less
     parallel, never wrong.
@@ -208,10 +235,12 @@ class _PlanningData(BenchmarkData):
         #: planner siblings, deliberately outside the (shared) memo
         #: dict so they never collide with the donor's real siblings
         self._plan_siblings: dict[int, "_PlanningData"] = {}
-        #: (cache key, cell descriptor or None) per ``_simulate`` call;
-        #: shared with the seed-offset siblings so one plan call sees
-        #: every universe's cells
-        self.trace: list[tuple[str, Optional[dict]]] = []
+        #: one :class:`SimCell` per ``_simulate`` call; shared with the
+        #: seed-offset siblings so one plan call sees every universe's
+        #: cells
+        self.sims: list[SimCell] = []
+        #: job fingerprint -> job, for this universe's ``_simulate``
+        self._fp_jobs: dict[str, Job] = {}
 
     def with_seed_offset(self, seed_offset: int) -> "_PlanningData":
         if seed_offset == self.seed_offset:
@@ -223,32 +252,45 @@ class _PlanningData(BenchmarkData):
             sib = _PlanningData(threat_scale=self.threat_scale,
                                 terrain_scale=self.terrain_scale,
                                 seed_offset=seed_offset, donor=donor)
-            sib.trace = self.trace
+            sib.sims = self.sims
             self._plan_siblings[seed_offset] = sib
         return sib
 
+    def _job_fingerprint(self, job: Job) -> str:
+        fp = super()._job_fingerprint(job)
+        self._fp_jobs[fp] = job
+        return fp
+
     def _simulate(self, key_payload: dict, run) -> float:
-        key = self._sim_key(key_payload)
-        self.trace.append((key, self._cell(key, key_payload)))
+        self.sims.append(SimCell(
+            key=self._sim_key(key_payload), kind=key_payload["kind"],
+            spec=key_payload["spec"],
+            job=self._fp_jobs[key_payload["job"]],
+            job_id=key_payload["job"],
+            slices_per_phase=key_payload["slices_per_phase"],
+            exploit_fine_grained=key_payload.get(
+                "exploit_fine_grained", False),
+            seed_offset=self.seed_offset))
         return 1.0  # placeholder: plans never produce user-visible rows
 
-    def _cell(self, key: str, key_payload: dict) -> Optional[dict]:
-        jobfp = key_payload.get("job", "")
-        if not (isinstance(jobfp, str) and jobfp.startswith("recipe:")):
-            return None  # inline-built job: not transportable
-        recipe = jobfp[len("recipe:"):]
-        return {
-            "key": key,
-            "kind": key_payload["kind"],
-            "spec": key_payload["spec"],
-            "job_recipe": recipe,
-            "slices_per_phase": key_payload["slices_per_phase"],
-            "exploit_fine_grained": key_payload.get(
-                "exploit_fine_grained", False),
-            "seed_offset": self.seed_offset,
-            "unit": f"cell:{recipe}@{self.seed_offset}",
-            "weight": _cell_weight(recipe, key_payload["spec"]),
-        }
+
+def _cell(sim: SimCell) -> Optional[dict]:
+    """The transportable descriptor a pool worker runs, or None for an
+    inline-built job."""
+    if not sim.job_id.startswith("recipe:"):
+        return None
+    recipe = sim.job_id[len("recipe:"):]
+    return {
+        "key": sim.key,
+        "kind": sim.kind,
+        "spec": sim.spec,
+        "job_recipe": recipe,
+        "slices_per_phase": sim.slices_per_phase,
+        "exploit_fine_grained": sim.exploit_fine_grained,
+        "seed_offset": sim.seed_offset,
+        "unit": f"cell:{recipe}@{sim.seed_offset}",
+        "weight": _cell_weight(recipe, sim.spec),
+    }
 
 
 def _cell_weight(recipe: str, spec) -> int:
@@ -276,7 +318,7 @@ def _plan_one(experiment_id: str, planner: _PlanningData) -> dict:
     cheap once kernels are memoized, and doing it here warms exactly
     the state the forked workers inherit.
     """
-    del planner.trace[:]
+    del planner.sims[:]
     t0 = time.perf_counter()
     try:
         run_experiment(experiment_id, planner)
@@ -287,9 +329,47 @@ def _plan_one(experiment_id: str, planner: _PlanningData) -> dict:
         # parallelism, not correctness.
         pass
     cells: dict[str, Optional[dict]] = {}
-    for key, cell in planner.trace:
-        cells.setdefault(key, cell)
+    for sim in planner.sims:
+        if sim.key not in cells:
+            cells[sim.key] = _cell(sim)
     return {"cells": cells, "wall": time.perf_counter() - t0}
+
+
+class PlanningError(RuntimeError):
+    """An experiment raised while its simulation cells were planned."""
+
+
+def experiment_cells(experiment_id: str,
+                     data: BenchmarkData) -> list[SimCell]:
+    """Every simulation a run of the experiment performs, once per
+    cache key, in first-use order -- inline-built jobs included.
+
+    This is the one run table that ``repro race``, ``repro chaos`` and
+    the registry parity sweep check.  Unlike the scheduler's plan,
+    which only loses parallelism when an experiment raises under the
+    placeholder timings, a failed plan raises :class:`PlanningError`
+    here: a plan cut short would silently shrink what is checked.
+    Unknown ids raise KeyError.
+    """
+    if experiment_id not in list_experiments():
+        raise KeyError(f"unknown experiment {experiment_id!r}")
+    planner = _PlanningData(
+        threat_scale=data.threat_scale, terrain_scale=data.terrain_scale,
+        seed_offset=data.seed_offset, donor=data)
+    try:
+        run_experiment(experiment_id, planner)
+    except Exception as exc:
+        raise PlanningError(
+            f"planning {experiment_id!r} failed: {exc!r}") from exc
+    cells: dict[str, SimCell] = {}
+    for cell in planner.sims:
+        cells.setdefault(cell.key, cell)
+    return list(cells.values())
+
+
+def distinct_jobs(cells: Iterable[SimCell]) -> dict[tuple[str, int], Job]:
+    """The cells' jobs, keyed by ``(job_id, seed_offset)``."""
+    return {(c.job_id, c.seed_offset): c.job for c in cells}
 
 
 def _run_cell(cell: dict, data: BenchmarkData) -> dict:

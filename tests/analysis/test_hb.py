@@ -162,6 +162,8 @@ def test_same_unit_never_races_with_itself():
 def test_bad_engine_rejected():
     with pytest.raises(ValueError):
         analyze_job(Job("empty", ()), "simd")
+    with pytest.raises(ValueError):   # an extraction, not an engine
+        analyze_job(Job("empty", ()), "cohort")
 
 
 # ----------------------------------------------------------------------
@@ -209,10 +211,10 @@ def test_parity_on_synthetic_jobs():
                 chunked_like_job("unrelated-job"),
                 parallel_job("overlap", [
                     (write_of("b", i, i + 1),) for i in range(4)])):
-        des, cohort = analyze_job_both(job)
-        assert des.engine == "des" and cohort.engine == "cohort"
-        assert des.findings == cohort.findings
-        assert des.suppressed == cohort.suppressed
+        des, closed = analyze_job_both(job)
+        assert des.engine == "des" and closed.engine == "closed"
+        assert des.findings == closed.findings
+        assert des.suppressed == closed.suppressed
 
 
 def test_verify_engine_parity_passes_and_raises(monkeypatch):

@@ -104,7 +104,8 @@ def test_monitoring_restores_previous_monitor():
 # fixtures
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("engine", ["des", "cohort"])
+# the ids name the extraction: ``closed`` reads the cohort walk
+@pytest.mark.parametrize("engine", ["des", "closed"], ids=["des", "cohort"])
 @pytest.mark.parametrize("fx", FIXTURES, ids=lambda f: f.name)
 def test_every_fixture_is_flagged_with_expected_hazards(fx, engine):
     flagged, findings = fx.check(engine)
@@ -117,8 +118,8 @@ def test_every_fixture_is_flagged_with_expected_hazards(fx, engine):
 def test_fixture_verdicts_identical_across_engines():
     for fx in FIXTURES:
         des = fx.findings("des")
-        cohort = fx.findings("cohort")
-        assert [f.key for f in des] == [f.key for f in cohort], fx.name
+        closed = fx.findings("closed")
+        assert [f.key for f in des] == [f.key for f in closed], fx.name
 
 
 def test_fixture_lookup():

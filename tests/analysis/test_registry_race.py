@@ -3,28 +3,108 @@
 These are the promises the race CI job enforces: every registered
 experiment's simulated-thread jobs are race-free, the compiler's
 dependence facts (not blanket silencing) clear the opaque Program-2
-writes, and both engine extractions agree on every verdict.
+writes, and both engine extractions agree on every verdict.  The
+jobs checked are the ones a run of each experiment really simulates.
 """
 
 import pytest
 
-from repro.analysis import analyze_job, analyze_job_both
+from repro.analysis import analyze_job, analyze_job_both, race
 from repro.analysis.facts import facts_for_job, loop_independent_arrays
-from repro.analysis.report import report_to_dict
-from repro.analysis.targets import EXPERIMENT_JOBS, experiment_jobs
-from repro.harness.registry import EXPERIMENT_IDS
+from repro.analysis.report import JobReport, report_to_dict
+from repro.harness import registry
+from repro.harness.parallel import (
+    PlanningError,
+    distinct_jobs,
+    experiment_cells,
+)
+from repro.harness.registry import EXPERIMENT_IDS, run_experiment
 from repro.harness.runner import BenchmarkData
 from repro.workload.instrument import OpCounter
 from repro.workload.ops import AccessMode
 
+SCALES = dict(threat_scale=0.01, terrain_scale=0.03)
+
 
 @pytest.fixture(scope="module")
 def data():
-    return BenchmarkData(threat_scale=0.01, terrain_scale=0.03)
+    return BenchmarkData(**SCALES)
 
 
-def test_every_experiment_has_a_target_mapping():
-    assert set(EXPERIMENT_JOBS) == set(EXPERIMENT_IDS)
+def test_checked_cells_are_what_a_real_run_simulates(monkeypatch):
+    """For every experiment, the cells the parity sweep checks and the
+    jobs race and chaos analyze are exactly the simulations a real run
+    of the experiment performs -- recorded from the run itself, not
+    from the planner."""
+    seen: list[tuple[str, object]] = []   # (cache key, job) per run
+
+    class Recording(BenchmarkData):
+        def run_conventional(self, spec, job, **kw):
+            n0 = len(self.metrics_log)
+            seconds = super().run_conventional(spec, job, **kw)
+            seen.append((self.metrics_log[n0]["key"], job))
+            return seconds
+
+        def run_mta_spec(self, spec, job, **kw):
+            n0 = len(self.metrics_log)
+            seconds = super().run_mta_spec(spec, job, **kw)
+            seen.append((self.metrics_log[n0]["key"], job))
+            return seconds
+
+    real = Recording(**SCALES)
+    analyzed: list = []
+
+    def record(job, engine=None):
+        analyzed.append(job)
+        return JobReport(job.name, "closed", ())
+
+    monkeypatch.setattr(race, "analyze_job", record)
+    n_cells = 0
+    for eid in EXPERIMENT_IDS:
+        del seen[:]
+        run_experiment(eid, real)
+        cells = experiment_cells(eid, real)
+        assert [c.key for c in cells] == list(
+            dict.fromkeys(key for key, _ in seen)), eid
+        ran = {id(job) for _, job in seen}
+        assert {id(c.job) for c in cells} == ran, eid
+        assert {id(j) for j in distinct_jobs(cells).values()} == ran, eid
+        del analyzed[:]
+        race._analyze_experiments([eid], real, "closed", parity=False)
+        assert {id(j) for j in analyzed} == ran, eid
+        assert len(analyzed) == len(distinct_jobs(cells)), eid
+        n_cells += len(cells)
+    assert n_cells >= 150
+
+
+def test_failed_plan_fails_race_chaos_and_parity(data, monkeypatch):
+    """An experiment that raises while planned is an error, never a
+    shorter list of checked cells."""
+    from repro.faults.chaos import run_chaos
+
+    def broken(d):
+        d.run_mta(1, d.threat_sequential_job())
+        raise ZeroDivisionError("placeholder timings")
+
+    monkeypatch.setitem(registry._EXPERIMENTS, "broken-demo", broken)
+    with pytest.raises(PlanningError):
+        experiment_cells("broken-demo", data)   # the parity sweep's rows
+    assert race.run_race(["broken-demo"], data) == 1
+    assert run_chaos(["broken-demo"], data) == 1
+    with pytest.raises(KeyError):
+        experiment_cells("no-such-experiment", data)
+
+
+def test_threat_alternative_checks_the_job_it_runs(data):
+    """Both fine-grained Threat jobs are named ``threat-finegrained``;
+    the cells name the one-thread-per-threat job the experiment runs,
+    on the machines it runs it on."""
+    cells = [c for c in experiment_cells("threat-alternative", data)
+             if c.job.name == "threat-finegrained"]
+    assert {c.job_id for c in cells} == {"recipe:th-job-fg-all"}
+    assert sorted(c.spec.name for c in cells) == [
+        "HP Exemplar S-Class[16p]", "Tera MTA (SDSC prototype)[1p]",
+        "Tera MTA (SDSC prototype)[2p]"]
 
 
 def test_compiler_facts_for_program2():
@@ -59,28 +139,31 @@ def test_real_blocked_job_clean_via_block_locks(data):
 def test_all_registered_experiments_clean_under_both_engines(data):
     jobs = {}
     for eid in EXPERIMENT_IDS:
-        jobs.update(experiment_jobs(eid, data))
+        jobs.update(distinct_jobs(experiment_cells(eid, data)))
     assert len(jobs) >= 30
-    for name, job in jobs.items():
-        des, cohort = analyze_job_both(job)
-        assert des.clean, (name, [f.render() for f in des.findings])
-        assert des.findings == cohort.findings, name
-        assert des.suppressed == cohort.suppressed, name
+    for jid, job in jobs.items():
+        des, closed = analyze_job_both(job)
+        assert des.clean, (jid, [f.render() for f in des.findings])
+        assert des.findings == closed.findings, jid
+        assert des.suppressed == closed.suppressed, jid
+
+
+def _jobs(eid, data):
+    return distinct_jobs(experiment_cells(eid, data)).values()
 
 
 def test_report_payload_engine_independent(data):
     reports = {}
     for eid in ("table5", "table9", "autopar"):
-        reports[eid] = [analyze_job(j, "des")
-                        for j in experiment_jobs(eid, data).values()]
+        reports[eid] = [analyze_job(j, "des") for j in _jobs(eid, data)]
     reports_c = {}
     for eid in ("table5", "table9", "autopar"):
-        reports_c[eid] = [analyze_job(j, "cohort")
-                          for j in experiment_jobs(eid, data).values()]
+        reports_c[eid] = [analyze_job(j, "closed")
+                          for j in _jobs(eid, data)]
     a = report_to_dict(reports, "des")
-    b = report_to_dict(reports_c, "cohort")
+    b = report_to_dict(reports_c, "closed")
     assert a.pop("engine") == "des"
-    assert b.pop("engine") == "cohort"
+    assert b.pop("engine") == "closed"
     assert a == b
     assert a["schema"] == "repro-race-report/v1"
     assert a["clean"] is True

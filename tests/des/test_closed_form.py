@@ -48,13 +48,9 @@ def convoy_cases(draw):
     lockstep classes; one hold may be ``0.0``, a critical section that
     is only a sleep, or empty when the sleep is also zero.
 
-    Generated classes are contiguous and pairwise distinct: within the
-    engines' exactness envelope, simultaneous lock arrivals keep their
-    thread order only when identical members are adjacent (class
-    compression enqueues a class's members back to back; members of
-    one class are interchangeable, so only cross-class adjacency
-    matters).  Hold times are drawn unique so no two classes collapse
-    into one.
+    Generated classes are contiguous and pairwise distinct (hold times
+    are drawn unique so no two classes collapse into one);
+    :func:`tie_cases` covers classes whose members interleave.
     """
     k = draw(st.integers(min_value=1, max_value=3))
     weights = draw(st.lists(st.integers(min_value=1, max_value=40),
@@ -87,17 +83,20 @@ def convoy_cases(draw):
     return programs, capacity
 
 
-def run_engine(programs, capacity, closed_form):
-    eng = CohortEngine(0.0, [capacity],
-                       [list(p) for p in programs],
-                       closed_form=closed_form)
+def run_engine(programs, capacity, closed_form, own_sids=None):
+    """``capacity`` is one server's, or a list of one per server."""
+    caps = capacity if isinstance(capacity, list) else [capacity]
+    eng = CohortEngine(0.0, caps, [list(p) for p in programs],
+                       own_sids=own_sids, closed_form=closed_form)
     end = eng.run()
     return eng, end
 
 
-def assert_engines_agree(programs, capacity):
-    fast, end_f = run_engine(programs, capacity, closed_form=True)
-    slow, end_s = run_engine(programs, capacity, closed_form=False)
+def assert_engines_agree(programs, capacity, own_sids=None):
+    fast, end_f = run_engine(programs, capacity, closed_form=True,
+                             own_sids=own_sids)
+    slow, end_s = run_engine(programs, capacity, closed_form=False,
+                             own_sids=own_sids)
     assert close(end_f, end_s), (end_f, end_s)
     assert len(fast.done_times) == len(slow.done_times)
     for tf, ts in zip(fast.done_times, slow.done_times):
@@ -127,6 +126,96 @@ def assert_engines_agree(programs, capacity):
 def test_closed_form_matches_event_stepped_scalar(case):
     programs, capacity = case
     assert_engines_agree(programs, capacity)
+
+
+# ----------------------------------------------------------------------
+# cross-class ties: classes interleaved round-robin over servers
+# ----------------------------------------------------------------------
+
+@st.composite
+def tie_cases(draw):
+    """Identical-program classes that reach one lock in one event.
+
+    Members are pinned round-robin over two or more symmetric servers,
+    as the MTA pins threads to processors, so each server's members
+    form one class and all classes finish the pre-phase together.  DES
+    queues the tied members one at a time in creation order, so the
+    queue alternates between classes.  One extra thread loads only
+    server 0 while the convoy runs, so a critical section's length
+    depends on which class holds the lock: the interleave is
+    observable.
+    """
+    n_srv = draw(st.integers(min_value=2, max_value=4))
+    per_class = draw(st.integers(min_value=1, max_value=12))
+    capacity = draw(st.floats(min_value=1.0, max_value=100.0))
+    pre = draw(st.floats(min_value=0.1, max_value=20.0))
+    hold = draw(st.floats(min_value=1e-2, max_value=5.0))
+    hold_sleep = draw(st.sampled_from([0.0, 0.0, 0.25]))
+    load = draw(st.floats(min_value=0.1, max_value=50.0))
+    # start the load somewhere inside the convoy
+    pre_end = pre * per_class / capacity
+    convoy = n_srv * per_class * (hold / capacity + hold_sleep)
+    at = pre_end + draw(st.floats(min_value=0.0, max_value=1.0)) * convoy
+    cs = [(SRV, None, pre, None), (ACQ, "L"), (SRV, None, hold, None)]
+    if hold_sleep:
+        cs.append((SLEEP, hold_sleep))
+    cs.append((REL, "L"))
+    n = n_srv * per_class
+    programs = [list(cs) for _ in range(n)]
+    programs.append([(SLEEP, at), (SRV, None, load, None)])
+    own = [i % n_srv for i in range(n)] + [0]
+    return programs, [capacity] * n_srv, own
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_cases())
+def test_tied_classes_queue_in_creation_order(case):
+    programs, caps, own = case
+    assert_engines_agree(programs, caps, own_sids=own)
+
+
+def test_tied_classes_minimal_case():
+    # homes 0, 1, 0, 1: DES queues members 1, 2, 3 behind member 0,
+    # so the class-0 member's pass overlaps the load on server 0
+    cs = [(SRV, None, 3.0, None), (ACQ, "L"), (SRV, None, 1.0, None),
+          (REL, "L")]
+    programs = [list(cs) for _ in range(4)]
+    programs.append([(SLEEP, 0.65), (SRV, None, 5.0, None)])
+    own = [0, 1, 0, 1, 0]
+    fast, slow = assert_engines_agree(programs, [10.0, 10.0],
+                                      own_sids=own)
+    assert fast.stats["classes"] == 3
+    assert close(fast.total_lock_wait_time(), 0.85)
+    assert close(slow.total_lock_wait_time(), 0.85)
+
+
+def test_tied_classes_drain_whole_cycles():
+    # 2 x 40 members with no outside load: after one measured cycle
+    # (one pass per class) the interleaved queue replays as drains
+    cs = [(SRV, None, 3.0, None), (ACQ, "L"), (SRV, None, 1.0, None),
+          (REL, "L")]
+    programs = [list(cs) for _ in range(80)]
+    own = [i % 2 for i in range(80)]
+    fast, _ = assert_engines_agree(programs, [10.0, 10.0], own_sids=own)
+    assert fast.stats["classes"] == 2
+    assert fast.stats["drained_grants"] > 0
+    assert fast.stats["drained_grants"] % 2 == 0   # whole cycles
+    assert fast.stats["drained_grants"] > fast.stats["stepped_grants"]
+
+
+def test_classes_tied_apart_keep_blocks():
+    # class 1 sleeps, then serves, so its seqs are handed out an event
+    # after class 0's: both reach the lock at t = 2, but DES queues
+    # all of class 0 before any of class 1 -- no interleave
+    a = [(SRV, None, 2.0, None), (ACQ, "L"), (SRV, None, 1.0, None),
+         (REL, "L")]
+    b = [(SLEEP, 1.0), (SRV, None, 1.0, None), (ACQ, "L"),
+         (SRV, None, 1.0, None), (REL, "L")]
+    programs = [list(a) if i % 2 == 0 else list(b) for i in range(6)]
+    programs.append([(SLEEP, 2.05), (SRV, None, 5.0, None)])
+    own = [i % 2 for i in range(6)] + [0]
+    fast, _ = assert_engines_agree(programs, [3.0, 3.0], own_sids=own)
+    assert fast.stats["classes"] == 3
 
 
 # ----------------------------------------------------------------------

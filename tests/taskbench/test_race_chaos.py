@@ -34,11 +34,11 @@ def test_taskbench_experiment_is_race_clean(data, capsys):
     out = capsys.readouterr().out
     assert "taskbench" in out and "clean" in out
     # the experiment spans all five generated recipes
-    from repro.analysis.targets import experiment_jobs
+    from repro.harness.parallel import distinct_jobs, experiment_cells
 
-    jobs = experiment_jobs("taskbench", data)
+    jobs = distinct_jobs(experiment_cells("taskbench", data))
     assert len(jobs) == 5
-    assert all(name.startswith("tb-") for name in jobs)
+    assert all(job.name.startswith("tb-") for job in jobs.values())
 
 
 def test_missync_fixture_is_registered_and_trips_both_engines():
@@ -46,7 +46,7 @@ def test_missync_fixture_is_registered_and_trips_both_engines():
 
     fixture = {fx.name: fx for fx in FIXTURES}["mesh-missync"]
     assert fixture.expected == frozenset({"data-race"})
-    for engine in ("des", "cohort"):
+    for engine in ("des", "closed"):
         flagged, findings = fixture.check(engine)
         assert flagged, engine
         assert findings
@@ -85,15 +85,13 @@ def test_chaos_rejects_unknown_machine_archetype(data):
 
 def test_missync_mesh_as_registered_experiment_exits_one(
         data, monkeypatch, capsys):
-    """Plant the broken mesh behind a synthetic experiment id; the
-    ``repro race`` driver must report the finding and exit 1."""
-    from repro.analysis import targets
+    """Plant the broken mesh behind a synthetic experiment id that
+    simulates it; the ``repro race`` driver must report the finding
+    and exit 1."""
     from repro.harness import registry
 
-    monkeypatch.setitem(targets.EXPERIMENT_JOBS, "missync-demo",
-                        (lambda d: missync_mesh_job(),))
     monkeypatch.setitem(registry._EXPERIMENTS, "missync-demo",
-                        lambda d: None)
+                        lambda d: d.run_mta(1, missync_mesh_job()))
     status = run_race(["missync-demo"], data)
     assert status == 1
     out = capsys.readouterr().out
@@ -104,7 +102,7 @@ def test_missync_mesh_as_registered_experiment_exits_one(
 def test_missync_job_flagged_under_both_engines_directly():
     from repro.analysis.hb import analyze_job_both
 
-    des, cohort = analyze_job_both(missync_mesh_job())
-    assert des.findings and cohort.findings
-    assert des.findings == cohort.findings
+    des, closed = analyze_job_both(missync_mesh_job())
+    assert des.findings and closed.findings
+    assert des.findings == closed.findings
     assert {f.hazard for f in des.findings} == {"data-race"}

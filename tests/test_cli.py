@@ -108,7 +108,7 @@ def test_race_fixtures_all_flagged(capsys):
 
 
 def test_race_finding_exits_nonzero(monkeypatch, capsys):
-    from repro.analysis import targets
+    from repro.harness import registry
     from repro.workload.builder import make_phase
     from repro.workload.ops import OpCounts, write_of
     from repro.workload.task import (
@@ -118,7 +118,7 @@ def test_race_finding_exits_nonzero(monkeypatch, capsys):
         ThreadProgram,
     )
 
-    def racy_job(_data):
+    def racy_job():
         threads = tuple(
             ThreadProgram(f"t{i}", (Compute(make_phase(
                 f"p{i}", OpCounts(ialu=10),
@@ -126,7 +126,10 @@ def test_race_finding_exits_nonzero(monkeypatch, capsys):
             for i in range(2))
         return Job("planted-racy", (ParallelRegion(threads),))
 
-    monkeypatch.setitem(targets.EXPERIMENT_JOBS, "autopar", (racy_job,))
+    # an experiment that really simulates the racy job: race checks
+    # what a run simulates, inline-built jobs included
+    monkeypatch.setitem(registry._EXPERIMENTS, "autopar",
+                        lambda data: data.exemplar(2, racy_job()))
     code = main(["race", "autopar"])
     out = capsys.readouterr().out
     assert code == 1

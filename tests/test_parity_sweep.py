@@ -1,36 +1,36 @@
 """Registry-wide engine-parity sweep.
 
-Every experiment the registry can produce is swept at smoke scale:
-each of its jobs runs under pure DES and under the cohort fast path on
-both machine families, and the pair must satisfy the parity contract
-in ``tests/parity.py``.  This is the contract the chaos CI gate relies
-on -- the fault injector splits jobs and re-runs segments under
-whichever engine is active, so any job the registry can emit must
-agree across engines.
+Every simulation cell the registry runs is swept at smoke scale: each
+cell an experiment's run performs (its own machine spec, slices per
+phase, fine-grained flag and seed universe; see
+:func:`repro.harness.parallel.experiment_cells`) runs under pure DES
+and under a fast engine, and the pair must satisfy the parity contract
+in ``tests/parity.py``.  Nothing is excluded.  This is the contract
+the chaos CI gate relies on -- the fault injector splits jobs and
+re-runs segments under whichever engine is active, so any job the
+registry can emit must agree across engines.
 
 The sweep covers both fast engines: ``closed`` (the default dispatch,
 closed-form layers on) and ``stepped`` (every thread event-stepped
 individually), so both sides of the cohort engine's internal dispatch
 decision stay covered by the same contract.
 
-Jobs shared between experiments (the registry collapses identical
-builders) run once per engine, memoized by job name.  Pure DES never
-depends on the fast engine, so each job's DES side runs once and is
-compared with both fast engines.
+Cells shared between experiments run once per engine, memoized by
+their cache key.  Pure DES never depends on the fast engine, so each
+cell's DES side runs once and is compared with both fast engines.
 """
 
 import pytest
 
-from repro.analysis.targets import experiment_jobs
 from repro.harness import EXPERIMENT_IDS, BenchmarkData
+from repro.harness.parallel import experiment_cells
 
 from tests.parity import (
     assert_equivalent,
     run_both_cmt,
     run_both_conventional,
     run_both_mta,
-    run_conventional,
-    run_mta,
+    run_cell,
 )
 
 pytestmark = pytest.mark.slow
@@ -42,8 +42,7 @@ SCALES = dict(threat_scale=0.01, terrain_scale=0.03)
 FAST_ENGINES = ("closed", "stepped")
 FAST_IDS = ("1", "0")
 
-_des_cache = {}
-_fast_cache = {}
+_runs = {}
 
 
 @pytest.fixture(scope="module")
@@ -56,34 +55,36 @@ def engine(request):
     return request.param
 
 
-def _runs(job, engine):
-    """The job's MTA and Exemplar runs on ``engine``."""
-    return run_mta(job, engine), run_conventional(job, engine)
-
-
-def _pairs(job, engine):
-    """(DES, fast) pairs on the MTA and the Exemplar."""
-    if job.name not in _des_cache:
-        _des_cache[job.name] = _runs(job, "des")
-    key = (engine, job.name)
-    if key not in _fast_cache:
-        _fast_cache[key] = _runs(job, engine)
-    return zip(_des_cache[job.name], _fast_cache[key])
+def _run(cell, engine):
+    key = (engine, cell.key)
+    if key not in _runs:
+        _runs[key] = run_cell(cell, engine)
+    return _runs[key]
 
 
 @pytest.mark.parametrize("eid", sorted(EXPERIMENT_IDS))
 def test_experiment_parity_under_both_engines(eid, data, engine):
-    jobs = experiment_jobs(eid, data)
-    for name, job in jobs.items():
-        for des, fast in _pairs(job, engine):
-            if engine == "stepped":     # the setting really reached it
-                assert fast.stats["closed_form_regions"] == 0, name
-                assert fast.stats["cohort_drained_grants"] == 0, name
-            try:
-                assert_equivalent(des, fast)
-            except AssertionError as exc:
-                raise AssertionError(
-                    f"{eid}/{name} [engine={engine}]: {exc}") from exc
+    for cell in experiment_cells(eid, data):
+        des, fast = _run(cell, "des"), _run(cell, engine)
+        where = (f"{eid}/{cell.job_id}@{cell.seed_offset} on "
+                 f"{cell.spec.name} [engine={engine}]")
+        if engine == "stepped":     # the setting really reached it
+            assert fast.stats["closed_form_regions"] == 0, where
+            assert fast.stats["cohort_drained_grants"] == 0, where
+        try:
+            assert_equivalent(des, fast)
+        except AssertionError as exc:
+            raise AssertionError(f"{where}: {exc}") from exc
+
+
+def test_tied_lock_classes_match_des():
+    """The 5000-thread sync-variable Threat job on the 2-processor MTA:
+    its two per-processor classes reach the lock in one event, and
+    the queue must interleave their members as DES does."""
+    job = BenchmarkData(threat_scale=0.002).threat_finegrained_all_job()
+    des, closed = run_both_mta(job, n_proc=2, engine="closed")
+    assert_equivalent(des, closed)
+    assert closed.stats["cohort_drained_grants"] > 0
 
 
 # ----------------------------------------------------------------------
