@@ -27,6 +27,7 @@ values at neighboring points".
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -238,10 +239,11 @@ def masking_for_threat(terrain: np.ndarray, threat: GroundThreat
     return window, alt, stats
 
 
-#: (id(terrain), threat) -> (terrain, window, alt, stats); the terrain
-#: reference both keeps the id stable and guards against id reuse
-_MASK_MEMO: dict = {}
-_MASK_MEMO_MAX = 4096
+#: id(terrain) -> {threat: (window, alt, stats)} for each live terrain
+#: grid.  A finalizer drops a grid's masks when the grid is freed, so a
+#: universe nobody holds releases them, and before its id can be reused.
+_MASK_MEMO: dict[int, dict[GroundThreat, tuple[RegionWindow, np.ndarray,
+                                                ThreatMaskStats]]] = {}
 
 
 def masking_for_threat_cached(terrain: np.ndarray, threat: GroundThreat
@@ -256,13 +258,15 @@ def masking_for_threat_cached(terrain: np.ndarray, threat: GroundThreat
     window/altitude/stats as read-only; the altitude array is marked
     non-writeable to enforce that.
     """
-    key = (id(terrain), threat)
-    hit = _MASK_MEMO.get(key)
-    if hit is not None and hit[0] is terrain:
-        return hit[1], hit[2], hit[3]
+    masks = _MASK_MEMO.get(id(terrain))
+    if masks is None:
+        masks = _MASK_MEMO[id(terrain)] = {}
+        weakref.finalize(terrain, _MASK_MEMO.pop, id(terrain),
+                         None).atexit = False
+    hit = masks.get(threat)
+    if hit is not None:
+        return hit
     window, alt, stats = masking_for_threat(terrain, threat)
     alt.setflags(write=False)
-    if len(_MASK_MEMO) >= _MASK_MEMO_MAX:
-        _MASK_MEMO.clear()
-    _MASK_MEMO[key] = (terrain, window, alt, stats)
+    masks[threat] = (window, alt, stats)
     return window, alt, stats

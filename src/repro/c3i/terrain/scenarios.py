@@ -9,8 +9,8 @@ region cells).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,19 +56,35 @@ class TerrainScenario:
         return (FULL_SCALE.grid_n / self.grid_n) ** 2
 
 
-@lru_cache(maxsize=64)
+#: (index, scale, seed_offset) -> every scenario something still holds
+_LIVE: weakref.WeakValueDictionary[tuple[int, float, int],
+                                   TerrainScenario] = \
+    weakref.WeakValueDictionary()
+
+
 def make_scenario(index: int, scale: float = 1.0,
                   seed_offset: int = 0) -> TerrainScenario:
     """Generate terrain scenario ``index`` (0..4) at the given scale.
 
     ``seed_offset`` selects an alternative synthetic-input universe.
 
-    Deterministic in the arguments and frozen, so instances (and the
-    per-terrain masking memo keyed on them) are shared process-wide.
-    The terrain grid is marked read-only to keep sharing safe.
+    Deterministic in the arguments and frozen, so a live instance (and
+    the per-terrain masking memo keyed on its grid) is shared
+    process-wide.  Sharing lasts while something holds the scenario: a
+    universe nobody holds frees its terrain grid and masks.  The
+    terrain grid is marked read-only to keep sharing safe.
     """
     if not 0.0 < scale <= 1.0:
         raise ValueError("scale must be in (0, 1]")
+    key = (index, scale, seed_offset)
+    scenario = _LIVE.get(key)
+    if scenario is None:
+        scenario = _LIVE[key] = _generate(index, scale, seed_offset)
+    return scenario
+
+
+def _generate(index: int, scale: float,
+              seed_offset: int) -> TerrainScenario:
     rng = scenario_rng(TERRAIN_MASKING, index, seed_offset)
     n = max(64, round(FULL_SCALE.grid_n * scale))
     terrain = generate_terrain(n, rng, relief=250.0 + 50.0 * index)

@@ -14,6 +14,7 @@ scales for higher-fidelity structural statistics at more kernel time.
 from __future__ import annotations
 
 import dataclasses
+from collections import OrderedDict
 from functools import lru_cache
 
 from repro import taskbench
@@ -30,6 +31,12 @@ from repro.mta.spec import MtaSpec
 from repro.workload.task import Job
 
 
+#: sibling universes a data set keeps.  The seed-robustness study
+#: reaches universes 0, 1 and 2, at most three siblings of any parent,
+#: so a registry run never rebuilds one.
+SIBLINGS_MAX = 3
+
+
 class BenchmarkData:
     """Scenarios + instrumented kernel runs for both benchmarks."""
 
@@ -39,6 +46,8 @@ class BenchmarkData:
         self.terrain_scale = terrain_scale
         self.seed_offset = seed_offset
         self._cache: dict[str, object] = {}
+        #: seed offset -> sibling universe, least recently used first
+        self._siblings: OrderedDict[int, BenchmarkData] = OrderedDict()
         #: id(job) -> (job, fingerprint); the job reference keeps the
         #: id stable, the identity check guards against id reuse.
         self._job_fps: dict[int, tuple[Job, str]] = {}
@@ -53,16 +62,23 @@ class BenchmarkData:
 
         Centralizing the construction lets the parallel planner
         intercept *every* simulation an experiment performs, including
-        the seed-robustness study's alternative universes.  Siblings
-        are memoized on the parent so a worker that executes many
-        cells of the same universe pays its kernels once.
+        the seed-robustness study's alternative universes.  The parent
+        keeps its :data:`SIBLINGS_MAX` most recently used siblings, so
+        a worker that executes many cells of the same universe pays
+        its kernels once while a service fed arbitrary seed offsets
+        holds a bounded number of universes.
         """
         if seed_offset == self.seed_offset:
             return self
-        return self._memo(f"sibling-{seed_offset}", lambda: type(self)(
-            threat_scale=self.threat_scale,
-            terrain_scale=self.terrain_scale,
-            seed_offset=seed_offset))
+        sib = self._siblings.pop(seed_offset, None)
+        if sib is None:
+            sib = type(self)(threat_scale=self.threat_scale,
+                             terrain_scale=self.terrain_scale,
+                             seed_offset=seed_offset)
+        self._siblings[seed_offset] = sib
+        while len(self._siblings) > SIBLINGS_MAX:
+            self._siblings.popitem(last=False)
+        return sib
 
     # ------------------------------------------------------------------
     # kernels (step 1)

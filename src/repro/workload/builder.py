@@ -13,6 +13,9 @@ builders keep that code readable::
 
 from __future__ import annotations
 
+import struct
+from typing import Callable
+
 from repro.workload.ops import OpCounts, SharedAccess
 from repro.workload.phase import AccessPattern, MemoryProfile, Phase
 from repro.workload.task import (
@@ -28,6 +31,66 @@ from repro.workload.task import (
 )
 
 
+#: Bit-exact interning tables for the two payloads every phase carries.
+#: A registry job tree holds tens of thousands of phases but only a few
+#: thousand distinct op-count vectors and footprints, so phases built
+#: from equal payloads share one instance.  Keys are the packed IEEE
+#: bits of all-float payloads, so ``0.0`` and ``-0.0`` never merge and
+#: neither do ints with floats (the store fingerprints floats by
+#: ``float.hex``); payloads holding a NaN or a non-float are never
+#: interned.  Each table is cleared when full, which only stops
+#: further sharing.
+_SHARED_OPS: dict[bytes, OpCounts] = {}
+_SHARED_MEMORY: dict[tuple[AccessPattern, bytes], MemoryProfile] = {}
+_SHARED_MAX = 1 << 14
+_PACK_OPS = struct.Struct("<6d").pack
+_PACK_MEMORY = struct.Struct("<3d").pack
+
+
+def _bits(pack: Callable[..., bytes], *values: float) -> bytes | None:
+    """The packed IEEE bits of all-float, NaN-free ``values``, else
+    None (such a payload is not interned)."""
+    for v in values:
+        if v.__class__ is not float or v != v:
+            return None
+    return pack(*values)
+
+
+def _shared_ops(ops: OpCounts) -> OpCounts:
+    """The interned instance bit-identical to ``ops`` (or ``ops``)."""
+    if ops.__class__ is not OpCounts:
+        return ops
+    key = _bits(_PACK_OPS, ops.ialu, ops.falu, ops.load, ops.store,
+                ops.branch, ops.sync)
+    if key is None:
+        return ops
+    hit = _SHARED_OPS.get(key)
+    if hit is None:
+        if len(_SHARED_OPS) >= _SHARED_MAX:
+            _SHARED_OPS.clear()
+        hit = _SHARED_OPS[key] = ops
+    return hit
+
+
+def _shared_memory(unique_bytes: float, pattern: AccessPattern,
+                   shared_fraction: float,
+                   access_bytes: float) -> MemoryProfile:
+    """The interned MemoryProfile with exactly these fields."""
+    bits = _bits(_PACK_MEMORY, unique_bytes, shared_fraction,
+                 access_bytes)
+    if bits is None:
+        return MemoryProfile(unique_bytes, pattern, shared_fraction,
+                             access_bytes)
+    key = (pattern, bits)
+    hit = _SHARED_MEMORY.get(key)
+    if hit is None:
+        if len(_SHARED_MEMORY) >= _SHARED_MAX:
+            _SHARED_MEMORY.clear()
+        hit = _SHARED_MEMORY[key] = MemoryProfile(
+            unique_bytes, pattern, shared_fraction, access_bytes)
+    return hit
+
+
 def make_phase(name: str, ops: OpCounts,
                unique_bytes: float = 0.0,
                pattern: AccessPattern = AccessPattern.SEQUENTIAL,
@@ -36,13 +99,15 @@ def make_phase(name: str, ops: OpCounts,
                parallelism: float = 1.0,
                serial_cycles: float = 0.0,
                accesses: tuple[SharedAccess, ...] = ()) -> Phase:
-    """Convenience constructor assembling a Phase and its MemoryProfile."""
+    """Convenience constructor assembling a Phase and its MemoryProfile.
+
+    Bit-identical op counts and memory profiles are shared between the
+    phases this builds (see ``_SHARED_OPS``)."""
     return Phase(
         name=name,
-        ops=ops,
-        memory=MemoryProfile(unique_bytes=unique_bytes, pattern=pattern,
-                             shared_fraction=shared_fraction,
-                             access_bytes=access_bytes),
+        ops=_shared_ops(ops),
+        memory=_shared_memory(unique_bytes, pattern, shared_fraction,
+                              access_bytes),
         parallelism=parallelism,
         serial_cycles=serial_cycles,
         accesses=accesses,

@@ -32,7 +32,7 @@ class AccessMode(enum.Enum):
         return self is AccessMode.WRITE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SharedAccess:
     """One phase's footprint on a *shared* array, as a location range.
 
@@ -89,7 +89,7 @@ def write_of(array: str, lo: float | None = None,
     return SharedAccess(array, AccessMode.WRITE, lo, hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpCounts:
     """A vector of operation counts.
 

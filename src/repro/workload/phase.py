@@ -36,7 +36,7 @@ PATTERN_AMPLIFICATION = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryProfile:
     """Locality descriptor for one phase.
 
@@ -66,7 +66,7 @@ class MemoryProfile:
             raise ValueError("access_bytes must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Phase:
     """A straight-line chunk of one thread's execution.
 

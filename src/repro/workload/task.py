@@ -28,14 +28,14 @@ from repro.workload.ops import OpCounts
 from repro.workload.phase import Phase
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Compute:
     """Uncontended execution of a phase."""
 
     phase: Phase
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Critical:
     """Execution of a phase while holding the named lock."""
 
@@ -46,7 +46,7 @@ class Critical:
 ThreadItem = Union[Compute, Critical]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThreadProgram:
     """One thread's work: an ordered list of items."""
 
@@ -71,7 +71,7 @@ class ThreadProgram:
         return [it.phase for it in self.items]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkItem:
     """A unit of dynamically scheduled work (e.g. one threat)."""
 
@@ -82,14 +82,14 @@ class WorkItem:
         object.__setattr__(self, "items", tuple(self.items))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SerialStep:
     """A phase executed by a single thread between parallel regions."""
 
     phase: Phase
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParallelRegion:
     """A statically partitioned parallel region (one thread per entry).
 
@@ -116,7 +116,7 @@ class ParallelRegion:
         return len(self.threads)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkQueueRegion:
     """A dynamically scheduled parallel region.
 
@@ -142,7 +142,7 @@ class WorkQueueRegion:
 JobStep = Union[SerialStep, ParallelRegion, WorkQueueRegion]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Job:
     """A complete benchmark run: serial steps and parallel regions."""
 

@@ -1,12 +1,17 @@
 """Tests for BenchmarkData caching and helpers."""
 
+import gc
+import weakref
+
 import pytest
 
 import repro.c3i.terrain.workload as te_workload
+from repro.c3i.terrain import model as terrain_model
 from repro.c3i import terrain as TE
 from repro.c3i import threat as TH
 from repro.harness import BenchmarkData, store
 from repro.harness.parallel import run_experiments
+from repro.harness.runner import SIBLINGS_MAX
 from repro.machines import exemplar
 from repro.workload.task import WorkQueueRegion
 
@@ -136,3 +141,33 @@ def test_blocked_kernels_and_items_built_once_per_universe(monkeypatch):
     for n in range(1, 17):
         sibling.terrain_blocked_job(n, "sw")
     assert calls == {"kernel": 2 * n_scenarios, "items": 2 * n_scenarios}
+
+
+def test_siblings_are_kept_least_recently_used():
+    data = BenchmarkData(threat_scale=0.01, terrain_scale=0.02)
+    assert data.with_seed_offset(0) is data
+    first = data.with_seed_offset(1)
+    for k in range(2, SIBLINGS_MAX + 1):
+        data.with_seed_offset(k)
+    assert data.with_seed_offset(1) is first  # a hit refreshes it
+    data.with_seed_offset(SIBLINGS_MAX + 1)  # evicts offset 2, not 1
+    assert len(data._siblings) == SIBLINGS_MAX
+    assert 1 in data._siblings and 2 not in data._siblings
+    assert data.with_seed_offset(1) is first
+
+
+def test_evicted_sibling_releases_its_terrain_and_masks():
+    # an offset no other test uses, so nothing else holds its scenarios
+    data = BenchmarkData(threat_scale=0.01, terrain_scale=0.02)
+    sib = data.with_seed_offset(907)
+    sib.terrain_sequential  # fills the per-terrain masking memo
+    grids = [weakref.ref(sc.terrain) for sc in sib.terrain_scenarios]
+    ids = {id(sc.terrain) for sc in sib.terrain_scenarios}
+    assert ids <= set(terrain_model._MASK_MEMO)
+    del sib
+    for k in range(908, 908 + SIBLINGS_MAX):
+        data.with_seed_offset(k)
+    assert 907 not in data._siblings
+    gc.collect()
+    assert all(g() is None for g in grids)
+    assert not ids & set(terrain_model._MASK_MEMO)

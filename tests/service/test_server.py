@@ -1,16 +1,19 @@
 """Server behaviour: streaming, dedupe, disconnects, lifecycle."""
 
 import asyncio
+import gc
 import json
 import os
 import signal
 import subprocess
 import sys
 import threading
+import weakref
 
 import pytest
 
 from repro.harness.rundir import RunWriter, ensure_runs_root
+from repro.harness.runner import SIBLINGS_MAX, default_data
 from repro.service.loadgen import ServiceClient
 from repro.__main__ import main
 
@@ -105,6 +108,37 @@ def test_simulate_streams_cells_then_done():
                 first["cell"]["seconds"]
             await client.close()
             assert svc.counters.engine_cells == 2
+    run_async(body())
+
+
+def test_universes_beyond_the_sibling_bound_are_dropped():
+    """Cells over more seed offsets than ``SIBLINGS_MAX`` leave the
+    served data set holding no more sibling universes than the bound,
+    and an evicted universe frees its terrain grids.  The offsets are
+    ones no other test uses, so nothing else holds their scenarios."""
+    offsets = range(901, 904 + SIBLINGS_MAX)
+
+    async def body():
+        async with serve_ctx() as svc:
+            data = default_data(svc.threat_scale, svc.terrain_scale)
+            client = await ServiceClient.connect("127.0.0.1",
+                                                 svc.bound_port)
+            grids = []
+            for k in offsets:
+                lines = await client.request({
+                    "op": "simulate", "id": f"u{k}",
+                    "cells": [{"machine": "alpha",
+                               "workload": "te-job-seq",
+                               "seed_offset": k}]})
+                assert lines[-1]["ok"], lines[-1]
+                assert len(data._siblings) <= SIBLINGS_MAX
+                if k == offsets[0]:
+                    grids = [weakref.ref(sc.terrain) for sc in
+                             data._siblings[k].terrain_scenarios]
+            await client.close()
+            assert list(data._siblings) == list(offsets)[-SIBLINGS_MAX:]
+            gc.collect()
+            assert grids and all(g() is None for g in grids)
     run_async(body())
 
 
