@@ -49,9 +49,10 @@ disabled, with the single-member replay below, by
   (serve/sleep segments ending in its one ``REL``) are watched.
 
 A one-thread region skips the event loop: every segment is a lone
-submission, replayed by :meth:`CohortEngine._run_single_member` as a
-:func:`serve_alone` chain.  Every other region, a one-class region
-included, event-steps with the two layers above.
+submission, so :meth:`CohortEngine._run_single_member` replays it with
+:func:`replay_alone`, the one lone-thread closed form (the machine
+driver runs every serial step through it too).  Every other region, a
+one-class region included, event-steps with the two layers above.
 
 Work-queue regions take none of these layers: class compression and
 convoy drains are off while a queue is attached, and every worker
@@ -117,19 +118,67 @@ REL = 4     #: ``(REL, lock_name)`` -- lock release (hand off to waiter)
 #: (the MTA pins each thread to one processor's issue server).
 
 
-def serve_alone(server, demand: float, cap: float, t: float) -> float:
-    """Closed form for a single job alone on an idle fair-share server.
+def replay_alone(segs, t: float, servers, own: int = 0,
+                 locks: Optional[dict] = None) -> float:
+    """Closed form of a lone thread running ``segs`` from time ``t``.
 
-    Mirrors what submit/allocate/wakeup compute for ``n_active == 1``
-    bit-for-bit (``capacity / 1 == capacity``), credits the server's
-    busy-time and served-work statistics, and returns the completion
-    time.  ``server`` is a live :class:`FairShareServer`.
+    With one thread every server holds at most one job, so each
+    submission completes at ``t + demand / min(cap, capacity)`` -- what
+    submit/allocate/wakeup compute for ``n_active == 1``, bit for bit
+    (``capacity / 1 == capacity``) -- and a ``PAR`` ends at its latest
+    part.  Credits the servers' busy-time and served-work statistics
+    and returns the end time.  ``servers`` are live
+    :class:`~repro.des.resources.FairShareServer` objects or their
+    :class:`ScalarBatchServer` mirrors; ``own`` resolves home-server
+    ids.  A lone thread always finds its locks free: each one it
+    passes is registered in ``locks`` (name -> lock state), and
+    acquiring one it already holds is the deadlock an event loop would
+    starve on.
     """
-    rate = cap if cap <= server.capacity else server.capacity
-    dt = demand / rate
-    server.busy_time += dt
-    server.total_served += rate * dt
-    return t + dt
+    for seg in segs:
+        op = seg[0]
+        # SRV, the conventional serial steps' hot case, is spelled out
+        # rather than run as a one-part PAR (that doubles its cost)
+        if op == SRV:
+            _op, sid, demand, cap = seg
+            if demand > 0:
+                s = servers[own if sid is None else sid]
+                c = s.capacity
+                rate = cap if cap is not None and cap <= c else c
+                dt = demand / rate
+                s.busy_time += dt
+                s.total_served += rate * dt
+                t += dt
+        elif op == PAR:
+            end = t
+            for sid, demand, cap in seg[1]:
+                if demand > 0:
+                    s = servers[own if sid is None else sid]
+                    c = s.capacity
+                    rate = cap if cap is not None and cap <= c else c
+                    dt = demand / rate
+                    s.busy_time += dt
+                    s.total_served += rate * dt
+                    e = t + dt
+                    if e > end:
+                        end = e
+            t = end
+        elif op == SLEEP:
+            if seg[1] > 0:
+                t += seg[1]
+        elif op == ACQ or op == REL:
+            lk = locks.get(seg[1])
+            if lk is None:
+                lk = locks[seg[1]] = _LockState()
+            if op == REL:
+                lk.holder = None
+            elif lk.holder is not None:
+                raise DesError("cohort region deadlocked")
+            else:
+                lk.holder = 0
+        else:  # pragma: no cover - compilers emit known opcodes
+            raise DesError(f"unknown cohort segment {seg!r}")
+    return t
 
 
 class ScalarBatchServer:
@@ -574,57 +623,15 @@ class CohortEngine:
 
     # ------------------------------------------------------------------
     def _run_single_member(self) -> float:
-        """Closed-form replay of a one-thread region.
-
-        With a single member every server holds at most one job, so
-        each segment is a lone submission -- the exact ``serve_alone``
-        arithmetic -- locks are always free (double-acquire is the
-        deadlock the event loop would starve on), and a work queue
-        drains item by item with no contention.
-        """
+        """Closed-form replay of a one-thread region: its program, then
+        the work queue item by item, each a :func:`replay_alone`."""
         th = self.threads[0]
-        servers = self.servers
-        own = th.own
-        t = self.now
+        t = replay_alone(th.segs, self.now, self.servers, th.own,
+                         self.locks)
         q = self.queue
-        segs = th.segs
-        while True:
-            for seg in segs:
-                op = seg[0]
-                if op == SRV:
-                    _op, sid, demand, cap = seg
-                    if demand > 0:
-                        s = servers[own if sid is None else sid]
-                        t = serve_alone(
-                            s, demand,
-                            cap if cap is not None else s.capacity, t)
-                elif op == PAR:
-                    end = t
-                    for sid, demand, cap in seg[1]:
-                        if demand > 0:
-                            s = servers[own if sid is None else sid]
-                            e = serve_alone(
-                                s, demand,
-                                cap if cap is not None else s.capacity, t)
-                            if e > end:
-                                end = e
-                    t = end
-                elif op == SLEEP:
-                    if seg[1] > 0:
-                        t += seg[1]
-                elif op == ACQ:
-                    lk = self._lock(seg[1])
-                    if lk.holder is not None:
-                        raise DesError("cohort region deadlocked")
-                    lk.holder = 0
-                elif op == REL:
-                    self._lock(seg[1]).holder = None
-                else:  # pragma: no cover - compilers emit known opcodes
-                    raise DesError(f"unknown cohort segment {seg!r}")
-            if q:
-                segs = q.popleft()
-            else:
-                break
+        while q:
+            t = replay_alone(q.popleft(), t, self.servers, th.own,
+                             self.locks)
         self.now = t
         self.n_done = 1
         self.done_times = [t]

@@ -11,10 +11,11 @@ shared ``RunResult.stats`` keys.
 Engines.  Serial steps and homogeneous regions (see
 :mod:`repro.workload.cohort`) take the vectorized cohort fast path by
 default -- the same timeline computed without per-thread DES
-processes.  A serial step is a lone job on idle servers, so the
-family's ``run_serial_phase`` replays it in closed form.  An eligible
-region compiles each thread program (or each work-queue item) to the
-segment form of :mod:`repro.des.batch` and runs on one
+processes.  Both compile to the segment form of :mod:`repro.des.batch`
+with the family's ``compile_phase``.  A serial step is a lone job on
+idle servers, so :func:`~repro.des.batch.replay_alone` replays its
+segments in closed form.  An eligible region compiles each thread
+program (or each work-queue item) and runs on one
 :class:`~repro.des.batch.CohortEngine` over the family's servers plus
 the region's FIFO locks.  Everything else runs as DES processes.
 
@@ -39,8 +40,8 @@ A family supplies, on top of ``spec`` and ``slices_per_phase``:
 * ``sync_cap`` and ``SYNC_SID``: the cap and cohort server id of one
   synchronized access (a lock acquire or a queue pop);
 * ``_home(i)``: thread ``i``'s home server id;
-* ``_run_phase`` (DES), ``run_serial_phase`` (closed form) and
-  ``compile_phase`` (segments): its phase model, three ways.
+* ``_run_phase`` (DES, the oracle) and ``compile_phase`` (segments):
+  its phase model, two ways.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from collections import deque
 from typing import Union
 
 from repro.des import AllOf, SimLock, Simulator, Store
-from repro.des.batch import ACQ, REL, SRV, CohortEngine, serve_alone
+from repro.des.batch import ACQ, REL, SRV, CohortEngine, replay_alone
 from repro.obs.metrics import (
     MachineMetrics,
     hist_fields,
@@ -155,8 +156,9 @@ class MachineDriver:
             if fast and (serial or self.region_eligible(step)):
                 t0 = cursor
                 if serial:
-                    cursor = self.run_serial_phase(step.phase, cursor,
-                                                   servers)
+                    segs = []
+                    self.compile_phase(step.phase, segs)
+                    cursor = replay_alone(segs, cursor, servers)
                     acct["cohort_serial_steps"] += 1
                 else:
                     cursor = self._run_region(step, cursor, servers, acct,
@@ -250,9 +252,9 @@ class MachineDriver:
         """
         costs = self.spec.costs_for(step.thread_kind)
         # the parent creates every thread before any runs
-        create = costs.create_cycles * step.n_threads
-        if create > 0:
-            t = serve_alone(servers[0], create, self.clock, t)
+        t = replay_alone(
+            [(SRV, 0, costs.create_cycles * step.n_threads, self.clock)],
+            t, servers)
         sync = costs.sync_cycles
         sync_seg = ([(SRV, self.SYNC_SID, sync, self.sync_cap)]
                     if sync > 0 else [])

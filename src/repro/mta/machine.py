@@ -67,7 +67,6 @@ class MtaMachine(MachineDriver):
 
     # the family's cohort hooks: functions of the machine, bound here
     region_eligible = cohort.region_eligible
-    run_serial_phase = cohort.run_serial_phase
     compile_phase = cohort.compile_phase
 
     def __init__(self, spec: MtaSpec, slices_per_phase: int = 8,

@@ -21,17 +21,17 @@ from repro.des.batch import (
     SRV,
     CohortEngine,
     ScalarBatchServer,
-    serve_alone,
+    replay_alone,
 )
 
 from tests.parity import REL_TOL, rel_err  # noqa: E402
 
 
 # ----------------------------------------------------------------------
-# serve_alone / serve_batch against the live DES server
+# replay_alone / serve_batch against the live DES server
 # ----------------------------------------------------------------------
 
-def test_serve_alone_matches_lone_des_submission():
+def test_replay_alone_matches_lone_des_submission():
     sim = Simulator()
     srv = FairShareServer(sim, capacity=100.0)
     done = {}
@@ -45,7 +45,7 @@ def test_serve_alone_matches_lone_des_submission():
     sim.run()
 
     mirror = FairShareServer(Simulator(), capacity=100.0)
-    end = serve_alone(mirror, 730.0, 40.0, 0.0)
+    end = replay_alone([(SRV, 0, 730.0, 40.0)], 0.0, [mirror])
     assert end == done["t"]
     assert mirror.busy_time == srv.busy_time
     assert mirror.total_served == srv.total_served
@@ -251,6 +251,30 @@ def test_engine_deadlock_raises():
     programs = [[(ACQ, "L"), (ACQ, "L"), (REL, "L")]]
     with pytest.raises(DesError):
         CohortEngine(0.0, [10.0], programs).run()
+
+
+def test_lone_thread_double_acquire_raises():
+    # the single-member replay never waits, so re-acquiring a held lock
+    # is the deadlock the event loop would starve on
+    with pytest.raises(DesError, match="deadlocked"):
+        CohortEngine(0.0, [10.0], [[(ACQ, "L"), (ACQ, "L")]]).run()
+    # the same guard spans a one-worker queue's items
+    from collections import deque
+
+    eng = CohortEngine(0.0, [10.0], [[]], queue=deque([[(ACQ, "L")],
+                                                       [(ACQ, "L")]]))
+    with pytest.raises(DesError, match="deadlocked"):
+        eng.run()
+
+
+def test_replay_alone_registers_the_locks_it_passes():
+    locks = {}
+    end = replay_alone([(ACQ, "A"), (SRV, 0, 10.0, None), (REL, "A"),
+                        (SLEEP, 0.5), (REL, "B")], 1.0,
+                       [ScalarBatchServer(10.0, 0.0)], locks=locks)
+    assert end == 1.0 + 1.0 + 0.5
+    assert sorted(locks) == ["A", "B"]
+    assert all(lk.holder is None for lk in locks.values())
 
 
 def test_engine_lock_handoff_is_fifo_by_arrival():

@@ -20,6 +20,7 @@ from repro.workload.cohort import ENGINE_ENV
 
 from tests.parity import REL_TOL, assert_equivalent, rel_err
 from tests.parity import run_both_conventional as run_both
+from tests.parity import run_both_mta
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +166,57 @@ def test_serial_steps_use_closed_form():
     assert rel_err(coh.seconds, des.seconds) <= REL_TOL
     assert coh.stats["cohort_serial_steps"] == 2.0
     assert des.stats["des_serial_steps"] == 2.0
+
+
+# ----------------------------------------------------------------------
+# serial steps: the compiled phase replayed alone vs DES
+# ----------------------------------------------------------------------
+
+_OP_FIELDS = ("ialu", "falu", "load", "store", "branch", "sync")
+
+
+@st.composite
+def serial_jobs(draw):
+    """1-4 serial steps whose op mixes may zero any component, with or
+    without cache traffic, critical-path cycles and internal
+    parallelism (the sw-thread path on a conventional machine, the
+    all-processor spread on the MTA)."""
+    b = JobBuilder("serial-prop")
+    for k in range(draw(st.integers(min_value=1, max_value=4))):
+        ops = OpCounts(**{
+            f: draw(st.one_of(st.just(0.0),
+                              st.floats(min_value=1.0, max_value=5e6)))
+            for f in _OP_FIELDS})
+        b.serial(f"s{k}", ops,
+                 unique_bytes=draw(st.one_of(
+                     st.just(0.0), st.floats(min_value=1e3,
+                                             max_value=1e7))),
+                 parallelism=draw(st.sampled_from([1, 2, 7, 64, 300])),
+                 serial_cycles=draw(st.one_of(
+                     st.just(0.0), st.floats(min_value=1.0,
+                                             max_value=1e5))))
+    return b.build()
+
+
+@settings(max_examples=40, deadline=None)
+@given(serial_jobs(), st.sampled_from([1, 4, 16]))
+def test_property_serial_steps_match_des_bit_for_bit(job, n_cpus):
+    n_steps = float(len(job.steps))
+    runs = [run_both(job, n_cpus=n_cpus, fine_grained=fg)
+            for fg in (False, True)]
+    runs += [run_both_mta(job, n_proc=n) for n in (1, 2, 4)]
+    for des, fast in runs:
+        assert fast.seconds == des.seconds
+        assert fast.stats["cohort_serial_steps"] == n_steps
+        # busy times are sums the two paths round differently
+        for a, b in zip(utilizations(des), utilizations(fast)):
+            assert rel_err(a, b) <= REL_TOL
+
+
+def utilizations(result) -> tuple:
+    if hasattr(result, "issue_utilization"):
+        return result.issue_utilization, result.network_utilization
+    return result.cpu_utilization, result.bus_utilization
 
 
 # ----------------------------------------------------------------------
