@@ -11,7 +11,7 @@ Usage::
     python -m repro report                    # EXPERIMENTS.md to stdout
     python -m repro trace table5 -o t5.json   # Chrome/Perfetto trace
     python -m repro bench                     # cohort-vs-DES kernel timings
-    python -m repro bench --verify            # full-registry equivalence
+    python -m repro bench --verify            # every registry cell vs pure DES
     python -m repro race table5 table11       # race/sync-hazard detector
     python -m repro race --all --fixtures --json race.json
     python -m repro chaos table5 --seed 7     # fault-injected runs
@@ -114,9 +114,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="also write the measurements as JSON")
     bench_p.add_argument("--verify", action="store_true",
                          help="instead of timing kernels, run every "
-                              "registry experiment with the cohort "
-                              "path on and off (cache disabled) and "
-                              "check the rows agree to 1e-9")
+                              "distinct planned registry cell on pure "
+                              "DES and on the REPRO_ENGINE engine (no "
+                              "cache) and check seconds and lock wait "
+                              "agree")
     race_p = sub.add_parser(
         "race",
         help="run the deterministic race / sync-hazard detector over "
@@ -130,9 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "and require each to be flagged")
     race_p.add_argument("--json", metavar="PATH", default=None,
                         help="write the schema-versioned report as JSON")
-    race_p.add_argument("--no-parity", action="store_true",
-                        help="skip the DES-vs-cohort verdict "
-                             "cross-check")
     chaos_p = sub.add_parser(
         "chaos",
         help="run experiments under deterministic fault injection "
@@ -169,9 +167,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="worker processes (default 1)")
     sweep_p.add_argument("--verify", action="store_true",
-                         help="additionally run every unique "
-                              "(machine, workload) pair on both engines "
-                              "directly and require 1e-9 parity")
+                         help="additionally run every unique cell on "
+                              "pure DES and on the REPRO_ENGINE engine "
+                              "directly and check seconds and lock "
+                              "wait agree")
     sweep_p.add_argument("--expand-only", action="store_true",
                          help="expand and fingerprint without running "
                               "any cell")
@@ -645,8 +644,7 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
         return run_race(args.ids, data, run_all=args.race_all,
-                        fixtures=args.fixtures, json_path=args.json,
-                        parity=not args.no_parity)
+                        fixtures=args.fixtures, json_path=args.json)
     return 2  # pragma: no cover
 
 

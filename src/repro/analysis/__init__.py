@@ -6,9 +6,8 @@ this package turns those records into verdicts:
 
 * :mod:`repro.analysis.hb` builds the happens-before structure of a
   job (fork/join region barriers + per-thread program order + lockset
-  mutual exclusion) and reports conflicting concurrent accesses,
-  through two independent extractors that mirror the pure-DES and
-  cohort execution paths -- the engines must agree.
+  mutual exclusion) and reports conflicting concurrent accesses.  The
+  verdict is a property of the job, not of the engine that times it.
 * :mod:`repro.analysis.facts` reuses the compiler's dependence
   analysis (:mod:`repro.compiler.dependence`) to suppress false
   positives on accesses whose subscripts provably separate iterations.
@@ -24,11 +23,7 @@ this package turns those records into verdicts:
   experiment registry and emits the schema-versioned JSON report.
 """
 
-from repro.analysis.hb import (
-    analyze_job,
-    analyze_job_both,
-    verify_engine_parity,
-)
+from repro.analysis.hb import analyze_job
 from repro.analysis.monitor import SyncMonitor, monitoring
 from repro.analysis.report import (
     Finding,
@@ -44,9 +39,7 @@ __all__ = [
     "RACE_REPORT_SCHEMA",
     "SyncMonitor",
     "analyze_job",
-    "analyze_job_both",
     "monitoring",
     "render_report",
     "report_to_dict",
-    "verify_engine_parity",
 ]

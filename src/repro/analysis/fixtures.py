@@ -4,7 +4,7 @@ Each fixture is a distilled version of a bug class the C3I programs
 could plausibly ship with -- the exact mistakes the paper's programming
 model makes easy to avoid but not impossible to write -- and the race
 CI job requires every one of them to be flagged with its expected
-hazard class(es) under **both** engine extractions:
+hazard class(es):
 
 * ``chunk-overlap``   -- Program-2-style static chunking with an
   off-by-one in the chunk bounds: adjacent chunks both write the
@@ -209,17 +209,16 @@ class Fixture:
     job: Optional[Callable[[], Job]] = None          # static
     run: Optional[Callable[[], list[Finding]]] = None  # dynamic
 
-    def findings(self, engine: Optional[str] = None) -> list[Finding]:
+    def findings(self) -> list[Finding]:
         if self.job is not None:
-            return list(analyze_job(self.job(), engine).findings)
+            return list(analyze_job(self.job()).findings)
         assert self.run is not None
         return self.run()
 
-    def check(self, engine: Optional[str] = None
-              ) -> tuple[bool, list[Finding]]:
+    def check(self) -> tuple[bool, list[Finding]]:
         """``(flagged, findings)``: flagged iff every expected hazard
         class appeared and nothing unexpected did."""
-        fs = self.findings(engine)
+        fs = self.findings()
         seen = {f.hazard for f in fs}
         return seen == set(self.expected), fs
 

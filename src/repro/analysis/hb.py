@@ -28,30 +28,21 @@ guarded, others not or by a different lock -- is still reported as a
 Masking bug class (merging into a masking block under the wrong or no
 block lock).
 
-**Two extractors, one verdict.**  Access events are pulled out of a
-region along the same traversals the two execution engines use: the
-DES extractor walks threads exactly like
-``MachineDriver._thread_body`` runs them, the cohort extractor follows
-the segment-program compiler
-(:meth:`repro.machines.driver.MachineDriver._compile_items` order,
-queue compiled once per item).  Both must produce identical findings
-for every job -- ``verify_engine_parity`` and the CI race job enforce
-it.
+**One extraction.**  Access events are pulled out of a region in the
+order ``MachineDriver._thread_body`` runs them: one process per
+thread in declaration order, the work queue drained item by item.
+The engines only choose how a region's time is computed, never which
+accesses it performs, so the verdict has no engine axis.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.analysis.facts import facts_for_job
 from repro.analysis.report import Finding, JobReport
-from repro.workload.cohort import (
-    ENGINES,
-    region_cohort_signature,
-    resolve_engine,
-)
 from repro.workload.ops import SharedAccess
 from repro.workload.task import (
     Critical,
@@ -72,7 +63,7 @@ class AccessEvent:
 
 
 # ----------------------------------------------------------------------
-# extraction: one walk per engine
+# extraction
 # ----------------------------------------------------------------------
 
 def _item_events(unit: str, items) -> Iterable[AccessEvent]:
@@ -83,8 +74,8 @@ def _item_events(unit: str, items) -> Iterable[AccessEvent]:
             yield AccessEvent(unit, acc, locks)
 
 
-def _events_des(region) -> list[AccessEvent]:
-    """Mirror of the pure-DES path: one process per thread (declaration
+def _events(region) -> list[AccessEvent]:
+    """The region's accesses: one process per thread (declaration
     order), the work queue drained item by item in FIFO order."""
     events: list[AccessEvent] = []
     if isinstance(region, ParallelRegion):
@@ -93,26 +84,6 @@ def _events_des(region) -> list[AccessEvent]:
     else:
         for item in region.items:
             events.extend(_item_events(item.name, item.items))
-    return events
-
-
-def _events_cohort(region) -> list[AccessEvent]:
-    """Mirror of the cohort path: homogeneous regions are compiled to
-    segment programs (one per thread, same compile order as
-    ``machines.driver.MachineDriver._compile_items``); heterogeneous
-    regions fall back to the DES walk exactly as the engines themselves
-    do."""
-    if isinstance(region, ParallelRegion):
-        if region_cohort_signature(region) is None:
-            return _events_des(region)
-        events: list[AccessEvent] = []
-        for th in region.threads:
-            events.extend(_item_events(th.name, th.items))
-        return events
-    # work-queue regions always compile: each item once, queue order
-    events = []
-    for item in region.items:
-        events.extend(_item_events(item.name, item.items))
     return events
 
 
@@ -216,15 +187,8 @@ def _region_findings(job_name: str, region_label: str, region,
     return findings, suppressed
 
 
-def analyze_job(job: Job, engine: Optional[str] = None) -> JobReport:
-    """Race/hazard verdict for one job under one engine's extraction:
-    the DES walk for ``des``, the cohort walk for either cohort engine
-    (``closed``, ``stepped``)."""
-    if engine is None:
-        engine = resolve_engine()
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    extract = _events_des if engine == "des" else _events_cohort
+def analyze_job(job: Job) -> JobReport:
+    """Race/hazard verdict for one job."""
     facts = facts_for_job(job.name)
     findings: list[Finding] = []
     suppressed = 0
@@ -232,27 +196,10 @@ def analyze_job(job: Job, engine: Optional[str] = None) -> JobReport:
         if isinstance(step, SerialStep):
             continue  # one thread: program order covers everything
         label = f"step{idx}"
-        fs, sup = _region_findings(job.name, label, step, extract(step),
+        fs, sup = _region_findings(job.name, label, step, _events(step),
                                    facts)
         findings.extend(fs)
         suppressed += sup
     findings.sort(key=lambda f: f.key)
-    return JobReport(job=job.name, engine=engine,
-                     findings=tuple(findings), suppressed=suppressed)
-
-
-def analyze_job_both(job: Job) -> tuple[JobReport, JobReport]:
-    """The job's ``des`` and ``closed`` verdicts (the DES walk and the
-    cohort walk)."""
-    return analyze_job(job, "des"), analyze_job(job, "closed")
-
-
-def verify_engine_parity(job: Job) -> JobReport:
-    """Analyze under both extractions and require identical verdicts."""
-    des, closed = analyze_job_both(job)
-    if des.findings != closed.findings \
-            or des.suppressed != closed.suppressed:
-        raise AssertionError(
-            f"engine verdicts diverge for job {job.name!r}: "
-            f"des={des.findings!r} closed={closed.findings!r}")
-    return des
+    return JobReport(job=job.name, findings=tuple(findings),
+                     suppressed=suppressed)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 #: Version tag stamped on every JSON report; bump on shape changes.
-RACE_REPORT_SCHEMA = "repro-race-report/v1"
+RACE_REPORT_SCHEMA = "repro-race-report/v2"
 
 #: The hazard vocabulary.  Static classes come from the job walk in
 #: :mod:`repro.analysis.hb`; dynamic classes from the live
@@ -43,7 +43,7 @@ class Finding:
 
     @property
     def key(self) -> tuple:
-        """Canonical identity, used for sorting and engine parity."""
+        """Canonical identity, used for sorting."""
         return (self.job, self.region, self.hazard, self.location,
                 self.units)
 
@@ -66,10 +66,9 @@ class Finding:
 
 @dataclass(frozen=True)
 class JobReport:
-    """The verdict for one job under one engine."""
+    """The verdict for one job."""
 
     job: str
-    engine: str
     findings: tuple[Finding, ...]
     suppressed: int = 0  #: candidate pairs cleared by dependence facts
 
@@ -86,13 +85,8 @@ class JobReport:
 
 
 def report_to_dict(experiment_reports: dict[str, list[JobReport]],
-                   engine: str,
                    dynamic_findings: tuple[Finding, ...] = ()) -> dict:
-    """The full ``repro race`` payload, JSON-ready and stably ordered.
-
-    Everything except the top-level ``engine`` tag must be identical
-    whichever engine produced it -- CI diffs the two payloads.
-    """
+    """The full ``repro race`` payload, JSON-ready and stably ordered."""
     experiments = {}
     clean = True
     for eid in sorted(experiment_reports):
@@ -105,7 +99,6 @@ def report_to_dict(experiment_reports: dict[str, list[JobReport]],
         clean = clean and experiments[eid]["clean"]
     payload: dict = {
         "schema": RACE_REPORT_SCHEMA,
-        "engine": engine,
         "clean": clean and not dynamic_findings,
         "experiments": experiments,
     }
@@ -116,10 +109,9 @@ def report_to_dict(experiment_reports: dict[str, list[JobReport]],
     return payload
 
 
-def render_report(experiment_reports: dict[str, list[JobReport]],
-                  engine: str) -> str:
+def render_report(experiment_reports: dict[str, list[JobReport]]) -> str:
     """Human-readable summary of a registry race run."""
-    lines = [f"race detector ({engine} engine)"]
+    lines = ["race detector"]
     total = 0
     for eid in sorted(experiment_reports):
         reports = experiment_reports[eid]

@@ -210,35 +210,6 @@ def expansion_manifest(sweep: SweepDef) -> dict:
     }
 
 
-def _verify_cell(cell: dict) -> Optional[str]:
-    """Run one cell's job on both engines directly (cache bypassed);
-    returns a description of the parity violation, or None."""
-    from repro.harness.bench import parity_problem
-    from repro.harness.runner import BenchmarkData
-    from repro.machines.machine import ConventionalMachine
-    from repro.mta.machine import MtaMachine
-
-    def machine(engine: Optional[str]):
-        if cell["kind"] == "mta":
-            return MtaMachine(cell["spec"],
-                              slices_per_phase=cell["slices_per_phase"],
-                              engine=engine)
-        return ConventionalMachine(
-            cell["spec"], slices_per_phase=cell["slices_per_phase"],
-            exploit_fine_grained=cell["exploit_fine_grained"],
-            engine=engine)
-
-    data = BenchmarkData(threat_scale=cell["threat_scale"],
-                         terrain_scale=cell["terrain_scale"],
-                         seed_offset=cell["seed_offset"])
-    job = data.job_from_recipe(cell["job_recipe"])
-    des = machine("des").run(job)
-    problem = parity_problem(des, machine(None).run(job))
-    if problem is not None:
-        return f"{cell['unit']} on {des.machine}: {problem}"
-    return None
-
-
 def run_sweep(name: str, *, threat_scale: float, terrain_scale: float,
               jobs: int = 1, verify: bool = False,
               on_record: Optional[Callable[[dict], None]] = None,
@@ -247,11 +218,15 @@ def run_sweep(name: str, *, threat_scale: float, terrain_scale: float,
 
     Returns the :class:`SweepOutcome`; ``n_computed`` counts cells that
     actually reached an engine (a cached re-run reports 0 -- the CI
-    dedupe assertion).  ``verify`` additionally runs every unique
-    (machine, workload) pair on both engines directly, recording parity
-    violations.
+    dedupe assertion).  ``verify`` additionally runs every unique cell
+    on pure DES and on the ``REPRO_ENGINE`` engine directly
+    (:meth:`~repro.harness.parallel.SimCell.run`, job from its recipe)
+    and records every :func:`~repro.harness.bench.parity_problem`.
     """
-    from repro.harness.parallel import run_cells
+    from repro.harness.bench import parity_problem
+    from repro.harness.parallel import SimCell, run_cells
+    from repro.harness.runner import BenchmarkData
+    from repro.workload.cohort import resolve_engine
 
     out = out if out is not None else sys.stdout
     sweep = get_sweep(name)
@@ -274,18 +249,23 @@ def run_sweep(name: str, *, threat_scale: float, terrain_scale: float,
         n_unique=len(unique), n_cached=n_cached,
         n_computed=len(unique) - n_cached)
     if verify:
-        # one parity check per unique (machine, workload) pair; the
-        # seed_offset/scale factors are covered by the key dedupe above
-        seen: set = set()
+        engine = resolve_engine()
+        data = BenchmarkData(threat_scale=threat_scale,
+                             terrain_scale=terrain_scale)
         for cell in unique.values():
-            pair = (cell["spec"].name, cell["job_recipe"],
-                    cell["slices_per_phase"], cell["exploit_fine_grained"])
-            if pair in seen:
-                continue
-            seen.add(pair)
-            failure = _verify_cell(cell)
+            sim = SimCell(
+                key=cell["key"], kind=cell["kind"], spec=cell["spec"],
+                job=data.with_seed_offset(cell["seed_offset"])
+                        .job_from_recipe(cell["job_recipe"]),
+                job_id=f"recipe:{cell['job_recipe']}",
+                slices_per_phase=cell["slices_per_phase"],
+                exploit_fine_grained=cell["exploit_fine_grained"],
+                seed_offset=cell["seed_offset"])
+            des = sim.run("des")
+            problem = parity_problem(des, sim.run(engine))
             outcome.verify_checked += 1
-            if failure is not None:
+            if problem is not None:
+                failure = f"{cell['unit']} on {des.machine}: {problem}"
                 outcome.verify_failures.append(failure)
                 print(f"sweep {name}: PARITY VIOLATION {failure}",
                       file=out)
@@ -293,7 +273,7 @@ def run_sweep(name: str, *, threat_scale: float, terrain_scale: float,
     n_rec = len(records)
     verdict = ""
     if verify:
-        verdict = (f", verified {outcome.verify_checked} pairs "
+        verdict = (f", verified {outcome.verify_checked} cells "
                    f"({len(outcome.verify_failures)} violations)")
     print(f"sweep {name}: {n_rec} records, {outcome.n_computed} "
           f"computed, {outcome.n_cached} cached{verdict} "

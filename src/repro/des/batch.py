@@ -69,8 +69,8 @@ sequential water-fill chain, or ``k * delta`` instead of ``k`` chained
 additions), so event times can differ by a few ulps.  Those
 differences are absorbed by the completion-batching tolerance the DES
 server itself applies; end-to-end simulated seconds agree to well
-within 1e-9 relative (checked for every registry experiment by
-``repro bench --verify``).
+within 1e-9 relative (checked for every simulation cell the registry
+plans by ``repro bench --verify``).
 
 Lock queue order follows one rule: tied arrivals queue in DES order.
 DES hands out job seqs member by member, so the members of classes

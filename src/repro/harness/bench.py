@@ -8,11 +8,11 @@ Two modes:
   best-of-N wall clock, and the two runs must satisfy the parity
   contract of :func:`parity_problem`.
 
-* ``--verify`` runs every registry experiment twice -- on the
-  ``REPRO_ENGINE`` engine and with ``REPRO_ENGINE=des`` -- with the
-  result cache disabled, and asserts every reported row agrees to
-  within 1e-9 relative.  This is the end-to-end equivalence gate the
-  cohort work is held to.
+* ``--verify`` runs every distinct simulation cell the registry's
+  experiments plan on pure DES and on the ``REPRO_ENGINE`` engine, no
+  cache, and holds each pair to :func:`parity_problem` (seconds and
+  lock wait).  This is the end-to-end equivalence gate the cohort
+  work is held to.
 
 Exit status is non-zero if any equivalence check fails, so both modes
 are CI-ready.
@@ -21,12 +21,11 @@ are CI-ready.
 from __future__ import annotations
 
 import json
-import os
 import time
 from typing import Callable, Optional
 
 from repro.harness.runner import BenchmarkData
-from repro.workload.cohort import ENGINE_ENV, resolve_engine
+from repro.workload.cohort import resolve_engine
 
 #: relative tolerance on simulated seconds, fast engine vs DES
 REL_TOL = 1e-9
@@ -162,80 +161,60 @@ def run_kernel_bench(data: BenchmarkData, repeat: int = 3,
 
 
 def run_verify(data: BenchmarkData, run=None) -> int:
-    """Cohort-vs-DES equivalence over every registry experiment."""
-    from repro.harness.registry import EXPERIMENT_IDS, run_experiment
+    """DES parity for every distinct simulation cell the registry plans.
+
+    One walk over :func:`~repro.harness.parallel.experiment_cells` of
+    every experiment: each cell, deduped by its cache key, runs on pure
+    DES and on the ``REPRO_ENGINE`` engine (:meth:`SimCell.run`, no
+    cache) and the pair must meet :func:`parity_problem`.  Returns 1 on
+    any problem or on an experiment whose plan fails.
+    """
+    from repro.harness.parallel import PlanningError, experiment_cells
+    from repro.harness.registry import EXPERIMENT_IDS
 
     fast_engine = resolve_engine()
-
-    def run_all_rows(engine: str) -> dict[tuple[str, str], float]:
-        saved = {k: os.environ.get(k)
-                 for k in (ENGINE_ENV, "REPRO_NO_CACHE")}
-        os.environ["REPRO_NO_CACHE"] = "1"
-        os.environ[ENGINE_ENV] = engine
-        # fresh data per walk: the data's in-process simulation memo
-        # would otherwise replay the first walk's rows in the second
-        walk_data = BenchmarkData(data.threat_scale, data.terrain_scale,
-                                  data.seed_offset)
-        try:
-            rows = {}
-            for eid in EXPERIMENT_IDS:
-                result = run_experiment(eid, walk_data)
-                for row in result.rows:
-                    rows[(eid, row.label)] = row.simulated
-            return rows
-        finally:
-            for k, v in saved.items():
-                if v is None:
-                    os.environ.pop(k, None)
-                else:
-                    os.environ[k] = v
-
-    t0 = time.perf_counter()
-    cohort_rows = run_all_rows(fast_engine)
-    t1 = time.perf_counter()
-    des_rows = run_all_rows("des")
-    t2 = time.perf_counter()
-
-    # an explicit check, not an assert: `python -O` strips asserts and
-    # CI must fail loudly when the two walks disagree on row identity
-    missing = cohort_rows.keys() ^ des_rows.keys()
-    if missing:
-        print(f"row sets differ between cohort and DES walks; "
-              f"{len(missing)} one-sided rows:")
-        for key in sorted(missing):
-            side = "cohort-only" if key in cohort_rows else "des-only"
-            print(f"  {side}: {key[0]} / {key[1]}")
-        return 1
+    walls = {"plan": 0.0, "des": 0.0, fast_engine: 0.0}
+    checked: set[str] = set()
     bad = []
-    for key, sim_c in cohort_rows.items():
-        sim_d = des_rows[key]
-        if sim_c is None or sim_d is None:
-            if sim_c != sim_d:
-                bad.append((key, sim_c, sim_d))
-            continue
-        if rel_err(sim_c, sim_d) > REL_TOL:
-            bad.append((key, sim_c, sim_d))
-    print(f"verified {len(cohort_rows)} rows across "
-          f"{len(EXPERIMENT_IDS)} experiments: "
-          f"{len(bad)} mismatches")
-    # each walk pays its own real-kernel executions and job
-    # construction, so these walls are not a clean engine comparison;
-    # use the default `repro bench` mode for timing
-    print(f"{fast_engine} walk {t1 - t0:.1f}s, pure-DES walk {t2 - t1:.1f}s")
-    for (eid, label), sim_c, sim_d in bad:
-        print(f"  MISMATCH {eid} / {label}: "
-              f"cohort={sim_c!r} des={sim_d!r}")
+    for eid in EXPERIMENT_IDS:
+        t0 = time.perf_counter()
+        try:
+            cells = experiment_cells(eid, data)
+        except PlanningError as exc:
+            print(f"bench --verify: {exc}")
+            return 1
+        walls["plan"] += time.perf_counter() - t0
+        for cell in cells:
+            if cell.key in checked:
+                continue
+            checked.add(cell.key)
+            t0 = time.perf_counter()
+            des = cell.run("des")
+            t1 = time.perf_counter()
+            fast = cell.run(fast_engine)
+            walls["des"] += t1 - t0
+            walls[fast_engine] += time.perf_counter() - t1
+            problem = parity_problem(des, fast)
+            if problem is not None:
+                bad.append((eid, f"{cell.job.name}@{cell.seed_offset} on "
+                                 f"{cell.spec.name} [{cell.key[:12]}]",
+                            problem))
+    print(f"verified {len(checked)} cells across "
+          f"{len(EXPERIMENT_IDS)} experiments against pure DES "
+          f"({fast_engine} engine): {len(bad)} mismatches")
+    print(", ".join(f"{name} {wall:.1f}s" for name, wall in walls.items()))
+    for eid, cell, problem in bad:
+        print(f"  MISMATCH {eid} / {cell}: {problem}")
     if run is not None:
         run.write_report(payload={
             "mode": "verify",
-            "rows_verified": len(cohort_rows),
+            "engine": fast_engine,
+            "cells_verified": len(checked),
             "experiments": len(EXPERIMENT_IDS),
             "mismatches": [
-                {"experiment": eid, "label": label,
-                 "cohort": sim_c, "des": sim_d}
-                for (eid, label), sim_c, sim_d in bad
+                {"experiment": eid, "cell": cell, "problem": problem}
+                for eid, cell, problem in bad
             ],
-            "cohort_walk_s": round(t1 - t0, 3),
-            "des_walk_s": round(t2 - t1, 3),
+            "walls_s": {k: round(v, 3) for k, v in walls.items()},
         })
     return 1 if bad else 0

@@ -72,6 +72,8 @@ from repro.harness.registry import (
     run_experiment,
 )
 from repro.harness.runner import BenchmarkData, default_data
+from repro.machines import ConventionalMachine
+from repro.mta import MtaMachine
 from repro.obs.trace import active_tracer
 from repro.workload.task import Job
 
@@ -202,6 +204,24 @@ class SimCell:
     slices_per_phase: int
     exploit_fine_grained: bool
     seed_offset: int
+
+    def run(self, engine: str):
+        """Simulate the cell's job on ``engine`` with the cell's own
+        spec, slices per phase and fine-grained flag, past every cache.
+
+        The one place a planned cell meets a named engine: every
+        DES-parity check (``repro bench --verify``, ``repro sweep
+        --verify``, the registry parity sweep) runs its cells here.
+        """
+        if self.kind == "mta":
+            machine = MtaMachine(self.spec, engine=engine,
+                                 slices_per_phase=self.slices_per_phase)
+        else:
+            machine = ConventionalMachine(
+                self.spec, engine=engine,
+                slices_per_phase=self.slices_per_phase,
+                exploit_fine_grained=self.exploit_fine_grained)
+        return machine.run(self.job)
 
 
 class _PlanningData(BenchmarkData):

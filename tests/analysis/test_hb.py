@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.analysis import (
-    analyze_job,
-    analyze_job_both,
-    verify_engine_parity,
-)
+from repro.analysis import analyze_job
 from repro.workload.builder import make_phase
 from repro.workload.ops import (
     AccessMode,
@@ -73,20 +69,20 @@ def test_disjoint_ranges_are_clean():
     job = parallel_job("disjoint", [
         (read_of("a", 0, 99), write_of("b", i * 10, i * 10 + 9))
         for i in range(4)])
-    report = analyze_job(job, "des")
+    report = analyze_job(job)
     assert report.clean and report.suppressed == 0
 
 
 def test_shared_reads_are_clean():
     job = parallel_job("ro", [(read_of("a", 0, 99),)] * 4)
-    assert analyze_job(job, "des").clean
+    assert analyze_job(job).clean
 
 
 def test_overlapping_writes_race():
     job = parallel_job("overlap", [
         (write_of("b", i * 10, i * 10 + 10),)  # one past the chunk end
         for i in range(4)])
-    report = analyze_job(job, "des")
+    report = analyze_job(job)
     assert not report.clean
     assert {f.hazard for f in report.findings} == {"data-race"}
     assert all(f.job == "overlap" for f in report.findings)
@@ -94,7 +90,7 @@ def test_overlapping_writes_race():
 
 def test_write_write_on_whole_array_races_without_facts():
     job = parallel_job("nofacts", [(write_of("x"),)] * 3)
-    report = analyze_job(job, "des")
+    report = analyze_job(job)
     assert [f.hazard for f in report.findings] == ["data-race"]
     assert report.findings[0].location == "x[*]"
 
@@ -104,17 +100,15 @@ def test_serial_steps_never_race():
         SerialStep(phase("a", (write_of("x", 0, 9),))),
         SerialStep(phase("b", (write_of("x", 0, 9),))),
     ))
-    assert analyze_job(job, "des").clean
+    assert analyze_job(job).clean
 
 
 def test_single_worker_queue_is_serial():
     items = tuple(WorkItem(f"w{i}", (Compute(phase(f"m{i}",
                                                    (write_of("m"),))),))
                   for i in range(4))
-    assert analyze_job(Job("q1", (WorkQueueRegion(items, 1),)),
-                       "des").clean
-    assert not analyze_job(Job("q2", (WorkQueueRegion(items, 2),)),
-                           "des").clean
+    assert analyze_job(Job("q1", (WorkQueueRegion(items, 1),))).clean
+    assert not analyze_job(Job("q2", (WorkQueueRegion(items, 2),))).clean
 
 
 def test_common_lock_clears_conflict():
@@ -122,8 +116,7 @@ def test_common_lock_clears_conflict():
         WorkItem(f"w{i}", (Critical("L", phase(f"m{i}",
                                                (write_of("m", 3, 3),))),))
         for i in range(4))
-    assert analyze_job(Job("locked", (WorkQueueRegion(items, 3),)),
-                       "des").clean
+    assert analyze_job(Job("locked", (WorkQueueRegion(items, 3),))).clean
 
 
 def test_dropped_lock_is_lock_discipline():
@@ -134,7 +127,7 @@ def test_dropped_lock_is_lock_discipline():
     items.append(WorkItem("w3", (Compute(phase("m3",
                                                (write_of("m", 3, 3),))),)))
     report = analyze_job(Job("dropped", (WorkQueueRegion(tuple(items),
-                                                         3),)), "des")
+                                                         3),)))
     assert {f.hazard for f in report.findings} == {"lock-discipline"}
 
 
@@ -146,7 +139,7 @@ def test_different_locks_are_lock_discipline():
                                                   (write_of("m"),))),)),
     )
     job = Job("wrong-lock", (ParallelRegion(threads),))
-    report = analyze_job(job, "des")
+    report = analyze_job(job)
     assert {f.hazard for f in report.findings} == {"lock-discipline"}
 
 
@@ -155,15 +148,7 @@ def test_same_unit_never_races_with_itself():
         Compute(phase("a", (write_of("x", 0, 9),))),
         Compute(phase("b", (write_of("x", 0, 9),))),
     )),)
-    assert analyze_job(Job("selfj", (ParallelRegion(threads),)),
-                       "des").clean
-
-
-def test_bad_engine_rejected():
-    with pytest.raises(ValueError):
-        analyze_job(Job("empty", ()), "simd")
-    with pytest.raises(ValueError):   # an extraction, not an engine
-        analyze_job(Job("empty", ()), "cohort")
+    assert analyze_job(Job("selfj", (ParallelRegion(threads),))).clean
 
 
 # ----------------------------------------------------------------------
@@ -179,13 +164,13 @@ def chunked_like_job(name):
 
 
 def test_facts_suppress_opaque_conflicts_for_chunked_family():
-    report = analyze_job(chunked_like_job("threat-chunked-4x"), "des")
+    report = analyze_job(chunked_like_job("threat-chunked-4x"))
     assert report.clean
     assert report.suppressed == 12  # C(4,2) pairs x 2 arrays
 
 
 def test_no_facts_without_matching_program_family():
-    report = analyze_job(chunked_like_job("unrelated-job"), "des")
+    report = analyze_job(chunked_like_job("unrelated-job"))
     assert not report.clean
     assert report.suppressed == 0
     assert {f.location for f in report.findings} == {
@@ -198,34 +183,5 @@ def test_facts_do_not_suppress_explicit_overlaps():
     job = parallel_job("threat-chunked-4x", [
         (write_of("intervals", i * 10, i * 10 + 10),)
         for i in range(4)])
-    report = analyze_job(job, "des")
+    report = analyze_job(job)
     assert {f.hazard for f in report.findings} == {"data-race"}
-
-
-# ----------------------------------------------------------------------
-# engine parity
-# ----------------------------------------------------------------------
-
-def test_parity_on_synthetic_jobs():
-    for job in (chunked_like_job("threat-chunked-4x"),
-                chunked_like_job("unrelated-job"),
-                parallel_job("overlap", [
-                    (write_of("b", i, i + 1),) for i in range(4)])):
-        des, closed = analyze_job_both(job)
-        assert des.engine == "des" and closed.engine == "closed"
-        assert des.findings == closed.findings
-        assert des.suppressed == closed.suppressed
-
-
-def test_verify_engine_parity_passes_and_raises(monkeypatch):
-    job = chunked_like_job("threat-chunked-4x")
-    assert verify_engine_parity(job).clean
-
-    from repro.analysis import hb
-
-    def broken(region):
-        return []
-
-    monkeypatch.setattr(hb, "_events_cohort", broken)
-    with pytest.raises(AssertionError):
-        verify_engine_parity(chunked_like_job("unrelated-job"))

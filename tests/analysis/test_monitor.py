@@ -104,22 +104,13 @@ def test_monitoring_restores_previous_monitor():
 # fixtures
 # ----------------------------------------------------------------------
 
-# the ids name the extraction: ``closed`` reads the cohort walk
-@pytest.mark.parametrize("engine", ["des", "closed"], ids=["des", "cohort"])
 @pytest.mark.parametrize("fx", FIXTURES, ids=lambda f: f.name)
-def test_every_fixture_is_flagged_with_expected_hazards(fx, engine):
-    flagged, findings = fx.check(engine)
+def test_every_fixture_is_flagged_with_expected_hazards(fx):
+    flagged, findings = fx.check()
     assert flagged, (
         f"{fx.name} expected {sorted(fx.expected)}, got "
         f"{[f.render() for f in findings]}")
     assert findings  # never flagged vacuously
-
-
-def test_fixture_verdicts_identical_across_engines():
-    for fx in FIXTURES:
-        des = fx.findings("des")
-        closed = fx.findings("closed")
-        assert [f.key for f in des] == [f.key for f in closed], fx.name
 
 
 def test_fixture_lookup():

@@ -3,15 +3,17 @@
 These are the promises the race CI job enforces: every registered
 experiment's simulated-thread jobs are race-free, the compiler's
 dependence facts (not blanket silencing) clear the opaque Program-2
-writes, and both engine extractions agree on every verdict.  The
+writes, and the report does not depend on the engine setting.  The
 jobs checked are the ones a run of each experiment really simulates.
 """
 
 import pytest
 
-from repro.analysis import analyze_job, analyze_job_both, race
+import json
+
+from repro.analysis import analyze_job, race
 from repro.analysis.facts import facts_for_job, loop_independent_arrays
-from repro.analysis.report import JobReport, report_to_dict
+from repro.analysis.report import JobReport
 from repro.harness import registry
 from repro.harness.parallel import (
     PlanningError,
@@ -54,9 +56,9 @@ def test_checked_cells_are_what_a_real_run_simulates(monkeypatch):
     real = Recording(**SCALES)
     analyzed: list = []
 
-    def record(job, engine=None):
+    def record(job):
         analyzed.append(job)
-        return JobReport(job.name, "closed", ())
+        return JobReport(job.name, ())
 
     monkeypatch.setattr(race, "analyze_job", record)
     n_cells = 0
@@ -70,7 +72,7 @@ def test_checked_cells_are_what_a_real_run_simulates(monkeypatch):
         assert {id(c.job) for c in cells} == ran, eid
         assert {id(j) for j in distinct_jobs(cells).values()} == ran, eid
         del analyzed[:]
-        race._analyze_experiments([eid], real, "closed", parity=False)
+        race._analyze_experiments([eid], real)
         assert {id(j) for j in analyzed} == ran, eid
         assert len(analyzed) == len(distinct_jobs(cells)), eid
         n_cells += len(cells)
@@ -124,49 +126,49 @@ def test_loop_independent_arrays_from_ir():
 
 def test_real_chunked_job_clean_only_because_of_facts(data):
     job = data.threat_chunked_job(8)
-    report = analyze_job(job, "des")
+    report = analyze_job(job)
     assert report.clean
     # C(8,2) chunk pairs x 2 opaque arrays x 5 scenarios
     assert report.suppressed == 28 * 2 * 5
 
 
 def test_real_blocked_job_clean_via_block_locks(data):
-    report = analyze_job(data.terrain_blocked_job(4), "des")
+    report = analyze_job(data.terrain_blocked_job(4))
     assert report.clean
     assert report.suppressed == 0  # locks, not facts, clear these
 
 
-def test_all_registered_experiments_clean_under_both_engines(data):
+def test_all_registered_experiments_clean(data):
     jobs = {}
     for eid in EXPERIMENT_IDS:
         jobs.update(distinct_jobs(experiment_cells(eid, data)))
     assert len(jobs) >= 30
     for jid, job in jobs.items():
-        des, closed = analyze_job_both(job)
-        assert des.clean, (jid, [f.render() for f in des.findings])
-        assert des.findings == closed.findings, jid
-        assert des.suppressed == closed.suppressed, jid
+        report = analyze_job(job)
+        assert report.clean, (jid, [f.render() for f in report.findings])
 
 
-def _jobs(eid, data):
-    return distinct_jobs(experiment_cells(eid, data)).values()
+def test_report_payload_engine_independent(data, monkeypatch, tmp_path):
+    """The v2 payload carries no engine tag, and its bytes are the same
+    whatever ``REPRO_ENGINE`` says."""
+    from repro.workload.cohort import ENGINE_ENV
 
-
-def test_report_payload_engine_independent(data):
-    reports = {}
-    for eid in ("table5", "table9", "autopar"):
-        reports[eid] = [analyze_job(j, "des") for j in _jobs(eid, data)]
-    reports_c = {}
-    for eid in ("table5", "table9", "autopar"):
-        reports_c[eid] = [analyze_job(j, "closed")
-                          for j in _jobs(eid, data)]
-    a = report_to_dict(reports, "des")
-    b = report_to_dict(reports_c, "closed")
-    assert a.pop("engine") == "des"
-    assert b.pop("engine") == "closed"
-    assert a == b
-    assert a["schema"] == "repro-race-report/v1"
-    assert a["clean"] is True
+    ids = ["table5", "table9", "autopar"]
+    payloads = []
+    for engine in (None, "des"):
+        if engine is None:
+            monkeypatch.delenv(ENGINE_ENV, raising=False)
+        else:
+            monkeypatch.setenv(ENGINE_ENV, engine)
+        path = tmp_path / f"race-{engine}.json"
+        assert race.run_race(ids, data, json_path=str(path)) == 0
+        payloads.append(path.read_bytes())
+    assert payloads[0] == payloads[1]
+    payload = json.loads(payloads[0])
+    assert payload["schema"] == "repro-race-report/v2"
+    assert "engine" not in payload
+    assert payload["clean"] is True
+    assert sorted(payload["experiments"]) == sorted(ids)
 
 
 def test_opcounter_touch_tracks_union_hull():

@@ -11,8 +11,10 @@ sit *outside* this contract.
 
 Import these from every parity test instead of redefining them; the
 registry-wide sweep in ``tests/test_parity_sweep.py`` applies the same
-contract to every registry cell on its own machine at smoke scale, on
-both fast engines.
+contract to every registry cell at smoke scale, on both fast engines,
+running each cell through
+:meth:`repro.harness.parallel.SimCell.run` -- the one runner
+``repro bench --verify`` and ``repro sweep --verify`` use too.
 """
 
 from repro.harness.bench import REL_TOL, parity_problem, rel_err
@@ -27,19 +29,6 @@ def run_mta(job, engine, n_proc=2):
 def run_conventional(job, engine, n_cpus=4, fine_grained=False):
     return ConventionalMachine(exemplar(n_cpus), engine=engine,
                                exploit_fine_grained=fine_grained).run(job)
-
-
-def run_cell(cell, engine):
-    """Run one :class:`repro.harness.parallel.SimCell` on ``engine``,
-    with the cell's own spec and settings and no result cache."""
-    if cell.kind == "mta":
-        return MtaMachine(cell.spec, engine=engine,
-                          slices_per_phase=cell.slices_per_phase
-                          ).run(cell.job)
-    return ConventionalMachine(
-        cell.spec, engine=engine,
-        slices_per_phase=cell.slices_per_phase,
-        exploit_fine_grained=cell.exploit_fine_grained).run(cell.job)
 
 
 def run_both_mta(job, n_proc=2, engine="closed"):

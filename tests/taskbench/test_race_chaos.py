@@ -1,13 +1,13 @@
 """Race-detector and chaos coverage over the generated workloads.
 
 Positive direction: the registered ``taskbench`` experiment -- MTA,
-Exemplar *and* CMT cells -- is race-clean under both engine
-extractions, and chaos fault injection over it (including the CMT
-archetype) degrades every job monotonically.  Negative direction: the
-deliberately mis-synchronized mesh must trip the detector, both as the
-registered ``mesh-missync`` fixture and as a synthetic registry
-experiment driven through ``run_race`` (exit code 1 -- the CI contract
-for a finding in a registered experiment).
+Exemplar *and* CMT cells -- is race-clean, and chaos fault injection
+over it (including the CMT archetype) degrades every job
+monotonically.  Negative direction: the deliberately mis-synchronized
+mesh must trip the detector, both as the registered ``mesh-missync``
+fixture and as a synthetic registry experiment driven through
+``run_race`` (exit code 1 -- the CI contract for a finding in a
+registered experiment).
 """
 
 import pytest
@@ -41,16 +41,15 @@ def test_taskbench_experiment_is_race_clean(data, capsys):
     assert all(job.name.startswith("tb-") for job in jobs.values())
 
 
-def test_missync_fixture_is_registered_and_trips_both_engines():
+def test_missync_fixture_is_registered_and_trips():
     from repro.analysis.fixtures import FIXTURES
 
     fixture = {fx.name: fx for fx in FIXTURES}["mesh-missync"]
     assert fixture.expected == frozenset({"data-race"})
-    for engine in ("des", "closed"):
-        flagged, findings = fixture.check(engine)
-        assert flagged, engine
-        assert findings
-        assert {f.hazard for f in findings} == {"data-race"}
+    flagged, findings = fixture.check()
+    assert flagged
+    assert findings
+    assert {f.hazard for f in findings} == {"data-race"}
 
 
 def test_chaos_over_taskbench_covers_mta_and_cmt(data, tmp_path):
@@ -99,10 +98,9 @@ def test_missync_mesh_as_registered_experiment_exits_one(
     assert "data-race" in out
 
 
-def test_missync_job_flagged_under_both_engines_directly():
-    from repro.analysis.hb import analyze_job_both
+def test_missync_job_flagged_directly():
+    from repro.analysis.hb import analyze_job
 
-    des, closed = analyze_job_both(missync_mesh_job())
-    assert des.findings and closed.findings
-    assert des.findings == closed.findings
-    assert {f.hazard for f in des.findings} == {"data-race"}
+    report = analyze_job(missync_mesh_job())
+    assert report.findings
+    assert {f.hazard for f in report.findings} == {"data-race"}

@@ -92,7 +92,8 @@ def test_race_clean_experiment_writes_report(tmp_path, capsys):
     assert "race detector" in stdout and "clean" in stdout
     with open(out) as fh:
         payload = json.load(fh)
-    assert payload["schema"] == "repro-race-report/v1"
+    assert payload["schema"] == "repro-race-report/v2"
+    assert "engine" not in payload
     assert payload["clean"] is True and payload["status"] == 0
     assert set(payload["experiments"]) == {"table2", "table9"}
 
@@ -138,9 +139,16 @@ def test_race_finding_exits_nonzero(monkeypatch, capsys):
 
 def test_race_alias_resolves(capsys):
     code = main(["--threat-scale", "0.01", "--terrain-scale", "0.03",
-                 "race", "fig3", "--no-parity"])
+                 "race", "fig3"])
     assert code == 0
     assert "clean" in capsys.readouterr().out
+
+
+def test_race_no_parity_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["race", "fig3", "--no-parity"])
+    assert exc.value.code == 2
+    assert "--no-parity" in capsys.readouterr().err
 
 
 def test_trace_default_output_path(tmp_path, monkeypatch, capsys):

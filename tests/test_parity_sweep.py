@@ -30,7 +30,6 @@ from tests.parity import (
     run_both_cmt,
     run_both_conventional,
     run_both_mta,
-    run_cell,
 )
 
 pytestmark = pytest.mark.slow
@@ -58,7 +57,7 @@ def engine(request):
 def _run(cell, engine):
     key = (engine, cell.key)
     if key not in _runs:
-        _runs[key] = run_cell(cell, engine)
+        _runs[key] = cell.run(engine)
     return _runs[key]
 
 
