@@ -288,16 +288,21 @@ def _cmd_all(data: BenchmarkData, jobs: int, profile: bool,
              metrics: bool = False,
              metrics_json: str | None = None, run=None) -> int:
     from repro.harness.parallel import (
+        PlanningError,
         metrics_to_dict,
         render_metrics,
         render_profile,
         run_experiments,
     )
 
-    results, profiles = run_experiments(
-        threat_scale=data.threat_scale, terrain_scale=data.terrain_scale,
-        jobs=jobs, data=data,
-        cell_sink=run.cell_sink if run is not None else None)
+    try:
+        results, profiles = run_experiments(
+            threat_scale=data.threat_scale,
+            terrain_scale=data.terrain_scale, jobs=jobs, data=data,
+            cell_sink=run.cell_sink if run is not None else None)
+    except PlanningError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 1
     status = 0
     for result in results.values():
         print(result.render())
@@ -352,12 +357,17 @@ def _cmd_report(threat_scale: float, terrain_scale: float,
                 jobs: int, profile: bool, run=None) -> int:
     import time
 
+    from repro.harness.parallel import PlanningError
     from repro.harness.report import generate_with_results
 
     t0 = time.perf_counter()
-    text, results, profiles = generate_with_results(
-        threat_scale, terrain_scale, jobs=jobs,
-        cell_sink=run.cell_sink if run is not None else None)
+    try:
+        text, results, profiles = generate_with_results(
+            threat_scale, terrain_scale, jobs=jobs,
+            cell_sink=run.cell_sink if run is not None else None)
+    except PlanningError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 1
     sys.stdout.write(text)
     if profile:
         print(f"report generated in {time.perf_counter() - t0:.2f}s "

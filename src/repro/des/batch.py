@@ -127,7 +127,10 @@ def replay_alone(segs, t: float, servers, own: int = 0,
     submit/allocate/wakeup compute for ``n_active == 1``, bit for bit
     (``capacity / 1 == capacity``) -- and a ``PAR`` ends at its latest
     part.  Credits the servers' busy-time and served-work statistics
-    and returns the end time.  ``servers`` are live
+    over ``(t + demand / rate) - t``, the difference of clock readings
+    a DES server accumulates, not over ``demand / rate`` (late in a
+    run the two differ in the last bits, which are most of a tiny
+    utilization), and returns the end time.  ``servers`` are live
     :class:`~repro.des.resources.FairShareServer` objects or their
     :class:`ScalarBatchServer` mirrors; ``own`` resolves home-server
     ids.  A lone thread always finds its locks free: each one it
@@ -145,10 +148,11 @@ def replay_alone(segs, t: float, servers, own: int = 0,
                 s = servers[own if sid is None else sid]
                 c = s.capacity
                 rate = cap if cap is not None and cap <= c else c
-                dt = demand / rate
+                e = t + demand / rate
+                dt = e - t
                 s.busy_time += dt
                 s.total_served += rate * dt
-                t += dt
+                t = e
         elif op == PAR:
             end = t
             for sid, demand, cap in seg[1]:
@@ -156,10 +160,10 @@ def replay_alone(segs, t: float, servers, own: int = 0,
                     s = servers[own if sid is None else sid]
                     c = s.capacity
                     rate = cap if cap is not None and cap <= c else c
-                    dt = demand / rate
+                    e = t + demand / rate
+                    dt = e - t
                     s.busy_time += dt
                     s.total_served += rate * dt
-                    e = t + dt
                     if e > end:
                         end = e
             t = end

@@ -8,22 +8,25 @@ experiments are a poor unit of parallel work: a handful of simulations
 dominate the registry's wall clock and many of them are shared between
 experiments.  So ``-j N`` proceeds at simulation-cell granularity:
 
-1. **plan** (in the scheduling process) -- run every experiment
-   against a :class:`_PlanningData` probe whose ``_simulate`` records
-   each simulation *cell* (machine spec x job recipe x scales x seed
-   universe) instead of running it.  Planning doubles as warm-up: it
-   builds every kernel and job into the caller's ``data`` memos, and
-   the pool is forked *afterwards*, so workers inherit the warm state
-   copy-on-write instead of re-running kernels per process.
+1. **plan** (in the scheduling process) -- :func:`experiment_cells`
+   runs each experiment against a :class:`_PlanningData` probe whose
+   ``_simulate`` records each simulation *cell* (machine spec x job
+   recipe x scales x seed universe) instead of running it.  Planning
+   doubles as warm-up: it builds every kernel and job into the
+   caller's ``data`` memos, and the pool is forked *afterwards*, so
+   workers inherit the warm state copy-on-write instead of re-running
+   kernels per process.  An experiment that raises while it is
+   planned fails the run with :class:`PlanningError` before any cell
+   runs.
 2. **cell** (workers) -- execute one deduplicated simulation cell
    (largest first, across all experiments) and send its record back
    over the result pipe; the scheduling process memoizes it in
    ``data``.  Cells already in the persistent cache are never
    submitted at all.
-3. **replay** (the scheduling process) -- run each experiment for real
-   on ``data`` the moment its last outstanding cell lands.  Every cell
-   it asks for is then a memo or cache hit, and the pool keeps
-   draining cells meanwhile; no phase barrier idles it.
+3. **replay** (the scheduling process) -- once the pool has drained,
+   run every experiment for real on ``data`` in id order, exactly as
+   ``jobs=1`` does.  Every cell it asks for is then a memo or cache
+   hit.
 
 No disk cache is needed to move results, so ``REPRO_NO_CACHE`` runs
 take the same path.  ``jobs=1``, and any run under an active tracer
@@ -166,11 +169,12 @@ def _run_one(experiment_id: str, data: BenchmarkData,
              ) -> tuple[ExperimentResult, ExperimentProfile]:
     """Run one experiment on ``data`` in this process and account for it.
 
-    Hit/miss attribution uses :func:`repro.harness.store.cache_scope`,
-    which counts the lookups made in this call's context exactly --
-    unlike snapshot deltas of the process-cumulative counters.
+    Hit/miss and record attribution uses
+    :func:`repro.harness.store.cache_scope`, which counts the lookups
+    made in this call's context exactly -- unlike snapshot deltas of
+    the process-cumulative counters -- and gathers the records of every
+    seed universe the experiment simulates in, not only ``data``'s.
     """
-    n0 = len(data.metrics_log)
     t0 = time.perf_counter()
     with store.cache_scope() as sc:
         result = run_experiment(experiment_id, data)
@@ -178,7 +182,7 @@ def _run_one(experiment_id: str, data: BenchmarkData,
         experiment_id=experiment_id,
         wall_seconds=time.perf_counter() - t0,
         cache_hits=sc.hits, cache_misses=sc.misses,
-        metrics=tuple(data.metrics_log[n0:]))
+        metrics=tuple(sc.records))
 
 
 # ----------------------------------------------------------------------
@@ -233,9 +237,9 @@ class _PlanningData(BenchmarkData):
     :class:`SimCell`, job included; a cell whose job is a *recipe* is
     transportable (any pool worker can rebuild the job and execute the
     cell independently).  Experiment arithmetic downstream of the
-    placeholder timings is garbage and discarded; the replay phase
-    recomputes it, so an incomplete or failed plan is merely less
-    parallel, never wrong.
+    placeholder timings is garbage and discarded; an experiment whose
+    arithmetic raises on it fails :func:`experiment_cells` with
+    :class:`PlanningError`.
 
     Given a ``donor`` (the data the run replays on), the probe shares
     the donor's kernel/job memo dict outright: everything the plan
@@ -309,11 +313,11 @@ def _cell(sim: SimCell) -> Optional[dict]:
         "exploit_fine_grained": sim.exploit_fine_grained,
         "seed_offset": sim.seed_offset,
         "unit": f"cell:{recipe}@{sim.seed_offset}",
-        "weight": _cell_weight(recipe, sim.spec),
+        "weight": cell_weight(recipe, sim.spec),
     }
 
 
-def _cell_weight(recipe: str, spec) -> int:
+def cell_weight(recipe: str, spec) -> int:
     """Largest-first ordering heuristic: thread count x machine width.
 
     Only the *ordering* of cell submissions depends on this, never a
@@ -331,30 +335,6 @@ def _cell_weight(recipe: str, spec) -> int:
     return base * int(width)
 
 
-def _plan_one(experiment_id: str, planner: _PlanningData) -> dict:
-    """Enumerate one experiment's simulation cells (in-process).
-
-    Runs in the scheduling process, before the pool forks: planning is
-    cheap once kernels are memoized, and doing it here warms exactly
-    the state the forked workers inherit.
-    """
-    del planner.sims[:]
-    t0 = time.perf_counter()
-    try:
-        run_experiment(experiment_id, planner)
-    except Exception:
-        # Placeholder timings can break experiment arithmetic (ratios
-        # of constants, checks that divide).  The replay phase runs
-        # the experiment for real, so a partial plan costs
-        # parallelism, not correctness.
-        pass
-    cells: dict[str, Optional[dict]] = {}
-    for sim in planner.sims:
-        if sim.key not in cells:
-            cells[sim.key] = _cell(sim)
-    return {"cells": cells, "wall": time.perf_counter() - t0}
-
-
 class PlanningError(RuntimeError):
     """An experiment raised while its simulation cells were planned."""
 
@@ -364,12 +344,11 @@ def experiment_cells(experiment_id: str,
     """Every simulation a run of the experiment performs, once per
     cache key, in first-use order -- inline-built jobs included.
 
-    This is the one run table that ``repro race``, ``repro chaos`` and
-    the registry parity sweep check.  Unlike the scheduler's plan,
-    which only loses parallelism when an experiment raises under the
-    placeholder timings, a failed plan raises :class:`PlanningError`
-    here: a plan cut short would silently shrink what is checked.
-    Unknown ids raise KeyError.
+    This is the one run table: the ``-j`` scheduler and the service's
+    registry sweep compute its cells, and ``repro race``, ``repro
+    chaos`` and the parity checks check them.  A failed plan raises
+    :class:`PlanningError`: a plan cut short would silently shrink
+    what is computed and checked.  Unknown ids raise KeyError.
     """
     if experiment_id not in list_experiments():
         raise KeyError(f"unknown experiment {experiment_id!r}")
@@ -398,12 +377,11 @@ def _run_cell(cell: dict, data: BenchmarkData) -> dict:
     The job is rebuilt from its recipe name; the resulting cache key is
     identical to the one the planner recorded (both are fingerprints of
     the same spec / recipe / scales / universe).  Returns the cell's
-    wall time, cache misses and its simulation record (the one
-    ``metrics_log`` entry its ``_simulate`` call appended).
+    wall time, cache misses and its simulation record (the one record
+    its ``_simulate`` call produced).
     """
     data = data.with_seed_offset(cell["seed_offset"])
     job = data.job_from_recipe(cell["job_recipe"])
-    n0 = len(data.metrics_log)
     t0 = time.perf_counter()
     with store.cache_scope() as sc:
         if cell["kind"] == "conventional":
@@ -416,7 +394,7 @@ def _run_cell(cell: dict, data: BenchmarkData) -> dict:
                 cell["spec"], job,
                 slices_per_phase=cell["slices_per_phase"])
     return {"wall": time.perf_counter() - t0, "misses": sc.misses,
-            "record": data.metrics_log[n0]}
+            "record": sc.records[0]}
 
 
 #: a pool worker's (data, start-sentinel directory), installed by the
@@ -468,7 +446,7 @@ def run_cells(
     """Execute transportable simulation cells, deduped against the cache.
 
     The service batcher's engine entry point (and usable by any caller
-    holding cell descriptors of the :class:`_PlanningData` shape:
+    holding cell descriptors of the :func:`_cell` shape:
     ``key``/``kind``/``spec``/``job_recipe``/``slices_per_phase``/
     ``exploit_fine_grained``/``seed_offset``/``unit``/``weight``).
     Cells are deduplicated by content-addressed ``key`` among
@@ -544,8 +522,10 @@ def run_experiments(
     completion order.  Every experiment runs on ``data`` (default: the
     shared ``default_data`` at the given scales), whatever ``jobs`` is:
     ``jobs=1`` (the default) runs the experiments serially in-process,
-    ``jobs > 1`` computes their simulation cells on a pool and replays
-    the experiments in-process over the returned records.
+    ``jobs > 1`` first computes their simulation cells on a pool, then
+    replays the experiments in-process over the returned records.  A
+    ``jobs > 1`` run raises :class:`PlanningError` if an experiment
+    fails while it is planned.
 
     ``cell_sink`` streams per-simulation records to the caller as work
     completes (see :data:`CellSink`); the run-directory layer uses it
@@ -585,16 +565,22 @@ def _run_experiments_inner(
         data = default_data(threat_scale, terrain_scale)
     # forked workers' trace recorders never report back, so a traced
     # run stays in this process
+    charged: dict[str, tuple[float, int]] = {}
     if jobs > 1 and active_tracer() is None:
-        pairs = _cell_run(ids, data, jobs, cell_sink=cell_sink)
-    else:
-        pairs = {}
-        for eid in ids:
-            pairs[eid] = _run_one(eid, data)
-            if cell_sink is not None:
-                cell_sink(eid, pairs[eid][1].metrics)
-    return ({eid: pairs[eid][0] for eid in ids},
-            [pairs[eid][1] for eid in ids])
+        charged = _cell_run(ids, data, jobs, cell_sink=cell_sink)
+    results: dict[str, ExperimentResult] = {}
+    profiles: list[ExperimentProfile] = []
+    for eid in ids:
+        results[eid], profile = _run_one(eid, data)
+        if cell_sink is not None:
+            # every record the run consulted; the sink dedupes them
+            # against the pool's cell records by cache key
+            cell_sink(eid, profile.metrics)
+        wall, misses = charged.get(eid, (0.0, 0))
+        profiles.append(replace(
+            profile, wall_seconds=wall + profile.wall_seconds,
+            cache_misses=misses + profile.cache_misses))
+    return results, profiles
 
 
 # ----------------------------------------------------------------------
@@ -805,85 +791,49 @@ def _pool_schedule(
 def _cell_run(
     ids: Sequence[str], data: BenchmarkData, jobs: int,
     cell_sink: Optional[CellSink] = None,
-) -> dict[str, tuple[ExperimentResult, ExperimentProfile]]:
-    """Cell-granular scheduling: plan -> deduped cells -> replay.
+) -> dict[str, tuple[float, int]]:
+    """Plan every experiment, then compute their cells on the pool.
 
-    Planning happens up front in this process on a probe sharing
-    ``data``'s memos (warming the kernels and jobs the forked workers
-    then inherit).  The transportable cells of all experiments are
-    deduplicated against each other and against the persistent cache,
-    sorted largest first, and fanned over the pool; each experiment is
-    replayed on ``data`` here as soon as its last outstanding cell
-    lands.  Cell cost (wall and cache misses) is charged to the first
-    experiment that planned the cell.
+    Each experiment is planned here by :func:`experiment_cells` on
+    ``data`` (warming the kernels and jobs the forked workers then
+    inherit); a failed plan raises :class:`PlanningError` before any
+    cell runs.  The transportable cells of all experiments are
+    deduplicated against each other and against the persistent cache
+    and drained largest first through the pool, each record memoized
+    into ``data`` for the replay.  Returns what to charge each
+    experiment on top of its replay: its plan wall plus the wall of
+    the cells it was first to plan, and those cells' cache misses.
     """
     cache = store.active_cache()
-    planner = _PlanningData(
-        threat_scale=data.threat_scale, terrain_scale=data.terrain_scale,
-        seed_offset=data.seed_offset, donor=data)
-
-    plan_wall = dict.fromkeys(ids, 0.0)
-    charged_wall = dict.fromkeys(ids, 0.0)
-    charged_miss = dict.fromkeys(ids, 0)
-    owner: dict[str, str] = {}          # cell key -> charged eid
-    waiting: dict[str, list[str]] = {}  # cell key -> waiting eids
-    remaining: dict[str, set] = {eid: set() for eid in ids}
-
-    pending_cells: list[dict] = []
-    seen: dict[str, bool] = {}          # cell key -> needs computing
+    wall = dict.fromkeys(ids, 0.0)
+    misses = dict.fromkeys(ids, 0)
+    owner: dict[str, str] = {}          # computed cell key -> its planner
+    seen: set[str] = set()
+    pending: list[dict] = []
     for eid in ids:
-        plan = _plan_one(eid, planner)
-        plan_wall[eid] = plan["wall"]
-        for key, cell in plan["cells"].items():
-            if cell is None:
-                continue  # inline-built job: replay computes it
-            if key not in seen:
-                seen[key] = cache is None or cache.get(key) is None
-                if seen[key]:
-                    owner[key] = eid
-                    waiting[key] = []
-                    pending_cells.append(cell)
-            if seen[key]:
-                waiting[key].append(eid)
-                remaining[eid].add(key)
-
-    out: dict[str, tuple[ExperimentResult, ExperimentProfile]] = {}
-    # experiments with nothing outstanding replay as soon as the pool
-    # has work of its own
-    ready = [eid for eid in ids if not remaining[eid]]
-
-    def replay_ready() -> None:
-        while ready:
-            eid = ready.pop(0)
-            result, rp = _run_one(eid, data)
-            if cell_sink is not None:
-                # every record the replay consulted; the sink dedupes
-                # against the cell records by cache key
-                cell_sink(eid, rp.metrics)
-            out[eid] = (result, replace(
-                rp,
-                wall_seconds=(plan_wall[eid] + charged_wall[eid]
-                              + rp.wall_seconds),
-                cache_misses=charged_miss[eid] + rp.cache_misses))
+        t0 = time.perf_counter()
+        for sim in experiment_cells(eid, data):
+            if sim.key in seen:
+                continue
+            seen.add(sim.key)
+            cell = _cell(sim)           # None: the replay builds it inline
+            if cell is not None and (cache is None
+                                     or cache.get(sim.key) is None):
+                owner[sim.key] = eid
+                pending.append(cell)
+        wall[eid] += time.perf_counter() - t0
 
     def on_result(cell: dict, value: dict) -> None:
-        key = cell["key"]
-        eid = owner[key]
-        charged_wall[eid] += value["wall"]
-        charged_miss[eid] += value["misses"]
+        eid = owner[cell["key"]]
+        wall[eid] += value["wall"]
+        misses[eid] += value["misses"]
         if cell_sink is not None:
             cell_sink(eid, (value["record"],))
-        for waiter in waiting.pop(key):
-            remaining[waiter].discard(key)
-            if not remaining[waiter]:
-                ready.append(waiter)
-        replay_ready()
 
     # largest first: the biggest cells bound the tail of the run
-    pending_cells.sort(key=lambda c: c["weight"], reverse=True)
-    _pool_schedule(pending_cells, data, jobs, on_result)
-    replay_ready()
-    return out
+    pending.sort(key=lambda c: c["weight"], reverse=True)
+    _pool_schedule(pending, data, jobs, on_result)
+    return {eid: (wall[eid], misses[eid]) for eid in ids}
 
 
 def metrics_rollup(profile: ExperimentProfile) -> dict:

@@ -237,11 +237,10 @@ class BenchmarkData:
 
     def _sim_key(self, key_payload: dict) -> str:
         """The persistent-cache key of one simulation cell."""
-        return store.fingerprint(dict(
-            key_payload, epoch=store.model_epoch(),
-            threat_scale=self.threat_scale,
+        return store.cell_key(
+            key_payload, threat_scale=self.threat_scale,
             terrain_scale=self.terrain_scale,
-            seed_offset=self.seed_offset))
+            seed_offset=self.seed_offset)
 
     def _simulate(self, key_payload: dict, run) -> float:
         key = self._sim_key(key_payload)
@@ -249,6 +248,7 @@ class BenchmarkData:
         memo = self._cache.get(memo_key)
         if memo is not None:
             self.metrics_log.append(memo)
+            store.note_record(memo)
             return memo["seconds"]
         # Tracing must observe an actual simulation, not a cached
         # number, so an active tracer bypasses the persistent cache
@@ -276,6 +276,7 @@ class BenchmarkData:
                 cache.put(key, payload)
         self._cache[memo_key] = record
         self.metrics_log.append(record)
+        store.note_record(record)
         return record["seconds"]
 
     def remember(self, record: dict) -> None:

@@ -337,15 +337,32 @@ def model_epoch() -> str:
     return _compute_epoch(root, getattr(repro, "__version__", ""))
 
 
-class CacheScope:
-    """Hit/miss counts attributed to one unit of work (see
-    :func:`cache_scope`)."""
+def cell_key(key_payload: dict, *, threat_scale: float,
+             terrain_scale: float, seed_offset: int) -> str:
+    """The content-addressed cache key of one simulation cell.
 
-    __slots__ = ("hits", "misses")
+    The one key function: the runner's ``BenchmarkData._sim_key`` and
+    the service's ``protocol.cell_from_payload`` both call it, which is
+    what makes a served result the same cache entry as the cell a
+    ``repro all`` run produces.
+    """
+    return fingerprint(dict(
+        key_payload, epoch=model_epoch(), threat_scale=threat_scale,
+        terrain_scale=terrain_scale, seed_offset=seed_offset))
+
+
+class CacheScope:
+    """Hit/miss counts and simulation records attributed to one unit
+    of work (see :func:`cache_scope`)."""
+
+    __slots__ = ("hits", "misses", "records")
 
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
+        #: every simulation record consulted in the scope, in every
+        #: seed universe, memo hits included (see :func:`note_record`)
+        self.records: list[dict] = []
 
 
 _scope_var: contextvars.ContextVar[Optional[CacheScope]] = \
@@ -354,7 +371,8 @@ _scope_var: contextvars.ContextVar[Optional[CacheScope]] = \
 
 @contextmanager
 def cache_scope() -> Iterator[CacheScope]:
-    """Attribute cache hits/misses to the enclosed work, exactly.
+    """Attribute cache hits/misses and simulation records to the
+    enclosed work, exactly.
 
     The process-wide :class:`ResultCache` counters are cumulative;
     subtracting snapshots taken around a task is only correct when
@@ -365,9 +383,10 @@ def cache_scope() -> Iterator[CacheScope]:
 
         with store.cache_scope() as sc:
             run_experiment(...)
-        profile = (sc.hits, sc.misses)
+        profile = (sc.hits, sc.misses, sc.records)
 
-    Scopes nest: only the innermost active scope counts a lookup.
+    Scopes nest: only the innermost active scope counts a lookup or
+    holds a record.
     """
     scope = CacheScope()
     token = _scope_var.set(scope)
@@ -375,6 +394,19 @@ def cache_scope() -> Iterator[CacheScope]:
         yield scope
     finally:
         _scope_var.reset(token)
+
+
+def note_record(record: dict) -> None:
+    """Attribute one simulation record to the innermost active scope.
+
+    ``BenchmarkData._simulate`` calls this for every simulation it
+    answers, whichever seed universe's data set it runs on, so a scope
+    sees the records of sibling universes that the base data set's
+    ``metrics_log`` never holds.
+    """
+    scope = _scope_var.get()
+    if scope is not None:
+        scope.records.append(record)
 
 
 class ResultCache:

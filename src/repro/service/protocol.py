@@ -177,13 +177,17 @@ def cell_from_payload(payload, *, threat_scale: float,
     The descriptor carries everything
     :func:`repro.harness.parallel.run_cells` (or the faulted-run path)
     needs, plus the content-addressed ``key`` the batcher dedupes on.
-    For a healthy cell the key is computed with *exactly* the payload
-    and arithmetic of ``BenchmarkData._sim_key``, so a served result is
-    the same cache entry -- and therefore byte-identical to -- the cell
-    a ``repro all`` run would produce; a faulted cell's key additionally
-    folds in the fault plan (faulted runs bypass the result cache, the
-    key only coalesces identical in-flight requests).
+    For a healthy cell the key is :func:`repro.harness.store.cell_key`
+    of the payload ``BenchmarkData`` builds for the same simulation, so
+    a served result is the same cache entry -- and therefore
+    byte-identical to -- the cell a ``repro all`` run would produce;
+    ``tests/service/test_protocol.py`` pins the payload equality.  A
+    faulted cell's key additionally folds in the fault plan (faulted
+    runs bypass the result cache, the key only coalesces identical
+    in-flight requests).
     """
+    from repro.harness.parallel import cell_weight
+
     if not isinstance(payload, dict):
         raise ProtocolError(f"cell must be an object, got "
                             f"{type(payload).__name__}")
@@ -221,9 +225,9 @@ def cell_from_payload(payload, *, threat_scale: float,
                    "job": "recipe:" + recipe}
     if kind == "conventional":
         key_payload["exploit_fine_grained"] = efg
-    key = sim_cell_key(key_payload, threat_scale=threat_scale,
-                       terrain_scale=terrain_scale,
-                       seed_offset=seed_offset)
+    key = store.cell_key(key_payload, threat_scale=threat_scale,
+                         terrain_scale=terrain_scale,
+                         seed_offset=seed_offset)
 
     cell = {
         "key": key,
@@ -258,27 +262,6 @@ def cell_from_payload(payload, *, threat_scale: float,
         cell["key"] = store.fingerprint(
             {"healthy_key": key, "faults": plan.to_payload()})
     return cell
-
-
-def sim_cell_key(key_payload: dict, *, threat_scale: float,
-                 terrain_scale: float, seed_offset: int) -> str:
-    """The content-addressed cache key of one simulation cell.
-
-    Must stay arithmetic-identical to ``BenchmarkData._sim_key`` --
-    the byte-identity of served results with ``repro all`` rests on
-    it, and ``tests/service/test_protocol.py`` pins the equality.
-    """
-    return store.fingerprint(dict(
-        key_payload, epoch=store.model_epoch(),
-        threat_scale=threat_scale, terrain_scale=terrain_scale,
-        seed_offset=seed_offset))
-
-
-def cell_weight(recipe: str, spec) -> int:
-    """Largest-first ordering weight (mirrors the parallel planner)."""
-    from repro.harness.parallel import _cell_weight
-
-    return _cell_weight(recipe, spec)
 
 
 # ----------------------------------------------------------------------

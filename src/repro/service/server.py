@@ -297,12 +297,18 @@ class ReproService:
         local run, and the done line carries the expansion fingerprint.
 
         Otherwise ``"experiments"`` plans registry experiments exactly
-        like ``repro all -j`` (the :class:`_PlanningData` probe) and
-        streams every planned cell -- so a served full-registry sweep
-        produces, per content-addressed key, the same records a local
-        ``repro all`` writes.
+        like ``repro all -j``
+        (:func:`~repro.harness.parallel.experiment_cells`) and streams
+        every planned cell -- so a served full-registry sweep produces,
+        per content-addressed key, the same records a local ``repro
+        all`` writes.  An experiment that fails while it is planned
+        rejects the request with one ``error`` line.
         """
-        from repro.harness.parallel import _plan_one, _PlanningData
+        from repro.harness.parallel import (
+            PlanningError,
+            _cell,
+            experiment_cells,
+        )
         from repro.harness.runner import default_data
 
         request_id = message.get("id")
@@ -363,19 +369,24 @@ class ReproService:
         loop = asyncio.get_running_loop()
 
         def plan() -> list[dict]:
-            planner = _PlanningData(
-                threat_scale=threat, terrain_scale=terrain,
-                donor=default_data(threat, terrain))
+            data = default_data(threat, terrain)
             cells: dict[str, dict] = {}
             for eid in ids:
-                for key, cell in _plan_one(eid, planner)["cells"] \
-                        .items():
-                    if cell is not None and key not in cells:
-                        cells[key] = dict(cell, threat_scale=threat,
-                                          terrain_scale=terrain)
+                for sim in experiment_cells(eid, data):
+                    cell = _cell(sim)
+                    if cell is not None and sim.key not in cells:
+                        cells[sim.key] = dict(cell, threat_scale=threat,
+                                              terrain_scale=terrain)
             return list(cells.values())
 
-        cells = await loop.run_in_executor(self.batcher._engine, plan)
+        try:
+            cells = await loop.run_in_executor(self.batcher._engine,
+                                               plan)
+        except PlanningError as exc:
+            self.counters.errors += 1
+            await self._send(writer, {"type": "error", "id": request_id,
+                                      "error": str(exc)})
+            return
         await self._stream_cells(request_id, cells, writer,
                                  extra={"experiments": ids})
 

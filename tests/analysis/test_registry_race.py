@@ -79,10 +79,17 @@ def test_checked_cells_are_what_a_real_run_simulates(monkeypatch):
     assert n_cells >= 150
 
 
-def test_failed_plan_fails_race_chaos_and_parity(data, monkeypatch):
+def test_failed_plan_fails_race_chaos_and_parity(data, monkeypatch,
+                                                 capsys):
     """An experiment that raises while planned is an error, never a
-    shorter list of checked cells."""
+    shorter list of checked or computed cells."""
+    from repro.__main__ import main
     from repro.faults.chaos import run_chaos
+    from repro.harness import parallel
+    from repro.service import server
+    from repro.service.loadgen import ServiceClient
+
+    from tests.service.conftest import run_async, serve_ctx
 
     def broken(d):
         d.run_mta(1, d.threat_sequential_job())
@@ -95,6 +102,36 @@ def test_failed_plan_fails_race_chaos_and_parity(data, monkeypatch):
     assert run_chaos(["broken-demo"], data) == 1
     with pytest.raises(KeyError):
         experiment_cells("no-such-experiment", data)
+
+    # the -j scheduler: no cell runs, no replay
+    with pytest.raises(PlanningError):
+        parallel.run_experiments(["broken-demo"], jobs=2, data=data,
+                                 **SCALES)
+    monkeypatch.setattr(parallel, "EXPERIMENT_IDS", ("broken-demo",))
+    for command in ("all", "report"):
+        capsys.readouterr()
+        assert main(["--threat-scale", "0.01", "--terrain-scale", "0.03",
+                     command, "-j", "2"]) == 1, command
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'broken-demo'" in err, err
+
+    # the service's registry sweep: one error line, connection usable
+    monkeypatch.setattr(server, "EXPERIMENT_IDS", ("broken-demo",))
+
+    async def sweep():
+        async with serve_ctx() as svc:
+            client = await ServiceClient.connect("127.0.0.1",
+                                                 svc.bound_port)
+            lines = await client.request({
+                "op": "sweep", "id": "b1", "experiments": ["broken-demo"]})
+            stats = await client.request({"op": "stats"})
+            await client.close()
+        return lines, stats
+
+    lines, stats = run_async(sweep())
+    assert [ln["type"] for ln in lines] == ["error"]
+    assert lines[0]["id"] == "b1" and "'broken-demo'" in lines[0]["error"]
+    assert stats[-1]["stats"]["errors"] == 1
 
 
 def test_threat_alternative_checks_the_job_it_runs(data):

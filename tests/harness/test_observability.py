@@ -19,6 +19,7 @@ from repro.harness.parallel import (
     render_metrics,
     run_experiments,
 )
+from repro.harness.runner import BenchmarkData
 from repro.harness.store import (
     CacheScope,
     ResultCache,
@@ -206,11 +207,23 @@ def test_profiles_carry_per_run_metrics_serial(monkeypatch, tmp_path):
 
 
 def test_profiles_carry_per_run_metrics_parallel(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
-    results, profiles = run_experiments(
-        ["table2", "table5"], threat_scale=0.01, terrain_scale=0.03,
-        jobs=2)
-    assert [p.experiment_id for p in profiles] == ["table2", "table5"]
+    """``-j 2`` profiles carry the serial run's records, every seed
+    universe's included: seed-robustness reports all 18 runs it
+    performs over universes 0-2, not only the base universe's 6."""
+    ids = ["table2", "table5", "seed-robustness"]
+    scales = dict(threat_scale=0.01, terrain_scale=0.03)
+    run_keys = {}
+    for jobs in (1, 2):
+        # a cold cache and fresh memos each: -j 2 computes on the pool
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"c{jobs}"))
+        results, profiles = run_experiments(
+            ids, jobs=jobs, data=BenchmarkData(**scales), **scales)
+        run_keys[jobs] = {
+            e["experiment_id"]: [r["key"] for r in e["runs"]]
+            for e in metrics_to_dict(profiles)["experiments"]}
+    assert run_keys[2] == run_keys[1]
+    assert len(run_keys[2]["seed-robustness"]) == 18
+    assert [p.experiment_id for p in profiles] == ids
     for p in profiles:
         roll = metrics_rollup(p)
         assert roll["sim_runs"] > 0

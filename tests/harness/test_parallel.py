@@ -66,10 +66,10 @@ def test_profile_charges_cells_to_first_planner(cache_dir):
 def test_threat_alternative_plans_only_transportable_cells():
     """Its 5000-thread sync-variable job is a named recipe, so every
     cell it simulates can run in a pool worker."""
-    from repro.harness.parallel import _plan_one, _PlanningData
+    from repro.harness.parallel import _cell, experiment_cells
 
-    plan = _plan_one("threat-alternative", _PlanningData(**SCALES))
-    cells = plan["cells"].values()
+    cells = [_cell(sim) for sim in experiment_cells(
+        "threat-alternative", BenchmarkData(**SCALES))]
     assert cells and all(c is not None and c["job_recipe"] for c in cells)
     assert sum(c["job_recipe"] == "th-job-fg-all" for c in cells) == 3
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.harness.parallel import _PlanningData, _plan_one
+from repro.harness.parallel import _cell, experiment_cells
 from repro.harness.runner import BenchmarkData
 from repro.service import protocol
 
@@ -136,10 +136,9 @@ def test_cell_key_matches_runner_sim_key():
 def test_cell_keys_match_planner_cells():
     """Every transportable cell the registry plans is reachable --
     with an identical content-addressed key -- through the protocol."""
-    planner = _PlanningData(**SCALES)
-    plan = _plan_one("table3", planner)
     checked = 0
-    for key, cell in plan["cells"].items():
+    for sim in experiment_cells("table3", BenchmarkData(**SCALES)):
+        cell = _cell(sim)
         if cell is None:
             continue
         spec = cell["spec"]
@@ -157,7 +156,7 @@ def test_cell_keys_match_planner_cells():
             "slices_per_phase": cell["slices_per_phase"],
             "exploit_fine_grained": cell["exploit_fine_grained"],
         }, **SCALES)
-        assert served["key"] == key
+        assert served["key"] == sim.key
         checked += 1
     assert checked >= 4  # table3 spans alpha/ppro/exemplar/mta
 

@@ -17,7 +17,6 @@ import json
 
 import pytest
 
-from repro.harness import store
 from repro.harness.parallel import run_experiments
 from repro.harness.runner import default_data
 from repro.service.loadgen import ServiceClient
@@ -39,23 +38,17 @@ def _normalize(record):
     return json.loads(json.dumps(body, sort_keys=True))
 
 
-def _local_records(keys_with_offsets):
-    """Run the subset CLI-style; read back the cells it computed.
+def _local_records():
+    """Run the subset CLI-style; collect the records it simulated.
 
-    The comparison reads the persistent cache rather than the serial
-    ``cell_sink`` because sibling seed universes log their records on
-    the sibling ``BenchmarkData`` -- the cache is where *every*
-    computed cell lands, byte-for-byte as the runner produced it.
+    Each experiment's profile carries the record of every simulation
+    it performed, in every seed universe (seed-robustness's sibling
+    universes included), as the runner produced it -- the records the
+    serial ``cell_sink`` writes to ``cells.jsonl``.
     """
-    run_experiments(EXPERIMENTS, jobs=1, **SCALES)
-    cache = store.active_cache()
-    out = {}
-    for key, seed_offset in keys_with_offsets.items():
-        entry = cache.get(key)
-        if entry is not None:
-            out[key] = _normalize(
-                store.entry_to_record(key, entry, seed_offset))
-    return out
+    _, profiles = run_experiments(EXPERIMENTS, jobs=1, **SCALES)
+    return {rec["key"]: _normalize(rec)
+            for p in profiles for rec in p.metrics}
 
 
 async def _served_records():
@@ -84,8 +77,7 @@ def test_served_sweep_is_byte_identical_to_repro_all(tmp_path,
     # every number is recomputed, not replayed
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-b"))
     default_data.cache_clear()
-    local = _local_records({key: rec["seed_offset"]
-                            for key, rec in served.items()})
+    local = _local_records()
 
     # every served cell was also computed by the CLI run, with an
     # identical record -- same key, same seconds, same stats
